@@ -26,6 +26,7 @@ from .core import (
     dist,
     factorizations,
     vadd,
+    value_of,
     vsub,
 )
 from .errors import NotInSemigroupError, UnsupportedDimensionError
@@ -136,20 +137,12 @@ class TreeMemo:
         if self._edge_index is None:
             index: dict[Vector, list[Edge]] = {}
             for z, w in graver_basis(self.semigroup):
-                value_z = _value(self.semigroup, z)
+                value_z = value_of(self.semigroup, z)
                 index.setdefault(value_z, []).append(_edge(z, w))
             for edges in index.values():
                 edges.sort()
             self._edge_index = index
         return self._edge_index.get(value, [])
-
-
-def _value(S: AffineSemigroup, z: Vector) -> Vector:
-    out = [0] * S.dim
-    for count, atom in zip(z, S.generators):
-        for i, c in enumerate(atom):
-            out[i] += count * c
-    return tuple(out)
 
 
 def _descent_set(S: AffineSemigroup, gamma: Vector) -> list[Vector]:
@@ -261,7 +254,8 @@ def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
             if past < 0 or not member[past]:
                 continue
             stamp, tree = ring[past % capacity]
-            assert stamp == past and tree is not None
+            if stamp != past or tree is None:
+                raise AssertionError(f"ring buffer lost the tree of {past}")
             is_member = True
             children.append((atom_index, tree))
         member[gamma] = is_member

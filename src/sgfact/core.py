@@ -19,7 +19,10 @@ _INT_LIMIT = 1 << 62
 
 
 def as_vector(value: int | Sequence[int], dim: int | None = None) -> Vector:
-    """Normalize an int or sequence into a coordinate tuple of the given dimension."""
+    """Normalize an int or sequence into a coordinate tuple of the given dimension.
+
+    A coordinate of magnitude 2**62 or more raises :class:`ConstructionError`.
+    """
     if isinstance(value, int):
         vec: Vector = (value,)
     else:
@@ -28,7 +31,7 @@ def as_vector(value: int | Sequence[int], dim: int | None = None) -> Vector:
         raise DimensionMismatchError(f"expected dimension {dim}, got {len(vec)}")
     for c in vec:
         if abs(c) >= _INT_LIMIT:
-            raise OverflowError(f"coordinate {c} exceeds the supported integer range")
+            raise ConstructionError(f"coordinate {c} exceeds the supported integer range")
     return vec
 
 
@@ -44,8 +47,14 @@ def vmin(a: Vector, b: Vector) -> Vector:
     return tuple(x if x < y else y for x, y in zip(a, b))
 
 
-def vleq(a: Vector, b: Vector) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def value_of(S: AffineSemigroup, z: Vector) -> Vector:
+    """The element a factorization vector represents: sum(z_i * atom_i)."""
+    out = [0] * S.dim
+    for count, atom in zip(z, S.generators):
+        if count:
+            for i, c in enumerate(atom):
+                out[i] += count * c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,8 @@ def affine_semigroup(
 
     Any generator expressible over the others is discarded; surviving atoms
     are stored in sorted order.  Raises :class:`ConstructionError` for empty
-    input, mixed dimensions, negative coordinates, or a zero vector.
+    input, mixed dimensions, negative or out-of-range coordinates, or a zero
+    vector.
     """
     vecs = [as_vector(g) for g in generators]
     if not vecs:

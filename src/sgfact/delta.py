@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import AffineSemigroup, affine_semigroup, delta_of_element
+from .core import AffineSemigroup, affine_semigroup, delta_of_element, value_of
 from .errors import ConstructionError
 from .grobner import (
     BinomialIdealBasis,
@@ -26,9 +26,10 @@ from .grobner import (
     buchberger_extend,
     normal_form,
     reduce_basis,
+    toric_ideal,
 )
 from .hilbert import primitive_kernel_vectors
-from .presentation import _value_of, minimal_presentation
+from .presentation import minimal_presentation
 
 
 def homogenize(S: AffineSemigroup) -> AffineSemigroup:
@@ -77,7 +78,7 @@ def delta_set_hilbert(S: AffineSemigroup, *, max_steps: int | None = None) -> tu
     presentation = minimal_presentation(S, max_steps=max_steps)
     seed: set[int] = set()
     for z, _ in presentation:
-        seed.update(delta_of_element(S, _value_of(S, z)))
+        seed.update(delta_of_element(S, value_of(S, z)))
     if not seed:
         return ()
     step = 0
@@ -103,17 +104,16 @@ def delta_set_hilbert(S: AffineSemigroup, *, max_steps: int | None = None) -> tu
 def delta_set_grobner(S: AffineSemigroup, *, max_steps: int | None = None) -> tuple[int, ...]:
     """The delta set, by the homogenization route.
 
-    Compute a minimal presentation of the homogenized semigroup, complete its
-    binomials under lex with the homogenizing variable greatest, reduce, and
-    collect the homogenizing exponents of the leading terms that use it.
+    Take the toric ideal of the homogenized semigroup, complete its binomials
+    under lex with the homogenizing variable greatest, reduce, and collect
+    the homogenizing exponents of the leading terms that use it.  The reduced
+    lex basis does not depend on the generators it starts from.
     """
     hom = homogenize(S)
-    presentation = minimal_presentation(hom, max_steps=max_steps)
-    if not presentation:
-        return ()
+    ideal = toric_ideal(hom, max_steps=max_steps)
     nvars = len(hom.generators)
     order = TermOrder.lex(nvars)  # variable 0 is the homogenizing generator
-    gens = [binomial(z, w, order) for z, w in presentation]
+    gens = [binomial(b.plus, b.minus, order) for b in ideal.binomials]
     basis = reduce_basis(buchberger(gens, order, max_steps=max_steps))
     out = set()
     for b in basis.binomials:

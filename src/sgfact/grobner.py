@@ -21,28 +21,29 @@ from typing import Iterable, Sequence
 
 from .core import AffineSemigroup, Vector, vadd, vsub
 from .errors import ConstructionError, ResourceLimitError
+from .hilbert import integer_kernel_basis
 
 
 class OrderKind(Enum):
     LEX = "lex"
     GRLEX = "grlex"
-    BLOCK_ELIM = "block_elim"
+    REVLEX = "revlex"
 
 
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial order on exponent vectors of a fixed number of variables.
 
-    ``priority`` lists variable indices from most to least significant.  For
-    BLOCK_ELIM the eliminated block is most significant (any monomial using a
-    block variable beats any monomial that does not), with lex ties inside
-    each block.
+    ``priority`` lists variable indices from most to least significant; for
+    REVLEX it lists them in tie-break order, where the smaller exponent wins.
+    ``weights`` is the positive degree of each variable under REVLEX and
+    empty otherwise.
     """
 
     kind: OrderKind
     nvars: int
     priority: tuple[int, ...]
-    elim: tuple[int, ...] = ()
+    weights: tuple[int, ...] = ()
 
     @staticmethod
     def lex(nvars: int, priority: Sequence[int] | None = None) -> "TermOrder":
@@ -59,22 +60,26 @@ class TermOrder:
         return TermOrder(OrderKind.GRLEX, nvars, prio)
 
     @staticmethod
-    def block_elim(nvars: int, elim: Sequence[int]) -> "TermOrder":
-        block = tuple(sorted(elim))
-        if any(i < 0 or i >= nvars for i in block) or len(set(block)) != len(block):
-            raise ConstructionError("eliminated block must be a set of variable indices")
-        rest = tuple(i for i in range(nvars) if i not in set(block))
-        return TermOrder(OrderKind.BLOCK_ELIM, nvars, block + rest, block)
+    def revlex(weights: Sequence[int], last: int) -> "TermOrder":
+        """Weighted degree, then reverse lex with variable ``last`` the smallest.
+
+        Degree ties go to the smaller exponent of ``last``, then of the other
+        variables from the highest index down.
+        """
+        w = tuple(int(c) for c in weights)
+        if any(c <= 0 for c in w):
+            raise ConstructionError("revlex weights must be positive")
+        if not 0 <= last < len(w):
+            raise ConstructionError(f"variable {last} out of range")
+        prio = (last,) + tuple(i for i in reversed(range(len(w))) if i != last)
+        return TermOrder(OrderKind.REVLEX, len(w), prio, w)
 
     def key(self, exponent: Vector):
         if self.kind is OrderKind.GRLEX:
             return (sum(exponent), tuple(exponent[i] for i in self.priority))
-        if self.kind is OrderKind.BLOCK_ELIM:
-            # graded comparison inside each block: still an elimination order
-            # (block degree dominates), but without the lex degree blowup
-            block = tuple(exponent[i] for i in self.elim)
-            rest = tuple(exponent[i] for i in self.priority[len(self.elim):])
-            return (sum(block), block, sum(rest), rest)
+        if self.kind is OrderKind.REVLEX:
+            degree = sum(w * e for w, e in zip(self.weights, exponent))
+            return (degree, tuple(-exponent[i] for i in self.priority))
         return tuple(exponent[i] for i in self.priority)
 
     def greater(self, a: Vector, b: Vector) -> bool:
@@ -280,30 +285,30 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
 
 
 def toric_ideal(S: AffineSemigroup, *, max_steps: int | None = None) -> BinomialIdealBasis:
-    """A reduced Groebner basis of the defining ideal of the semigroup.
+    """The reduced graded-lex Groebner basis of the defining ideal of the semigroup.
 
-    Variables y_1..y_k (one per atom) are joined by d auxiliary variables,
-    one per ambient coordinate; the relations y_i = t^{atom_i} are completed
-    under an order whose eliminated block is the auxiliary variables, and the
-    members free of auxiliaries cut out the kernel of the monomial map.
+    Lattice saturation (Sturmfels, *Groebner Bases and Convex Polytopes*,
+    1996, ch. 12; Hosten-Sturmfels, "GRIN", IPCO 1995): the binomials of a
+    kernel lattice basis generate an ideal whose saturation by the product of
+    the variables is the toric ideal.  Saturate one variable at a time: under
+    revlex with that variable smallest, a Groebner basis of a homogeneous
+    ideal divided by the variable's powers generates the saturation
+    (Bayer-Stillman).  Weighting each variable by its atom's coordinate sum
+    makes every kernel binomial homogeneous.
     """
     k = len(S.generators)
-    d = S.dim
-    total = k + d
-    elim_order = TermOrder.block_elim(total, range(k, total))
-    gens = []
-    for i, atom in enumerate(S.generators):
-        y_part = tuple(1 if j == i else 0 for j in range(k)) + (0,) * d
-        t_part = (0,) * k + atom
-        gens.append(binomial(y_part, t_part, elim_order))
-    full = buchberger(gens, elim_order, max_steps=max_steps)
-    # the auxiliary-free members form a Groebner basis for the restriction of
-    # the block order to the atom variables, which is graded lex
-    y_order = TermOrder.grlex(k)
-    projected = [
-        binomial(b.plus[:k], b.minus[:k], y_order)
-        for b in full.binomials
-        if not any(b.plus[k:]) and not any(b.minus[k:])
+    weights = [sum(atom) for atom in S.generators]
+    pairs = [
+        (tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v))
+        for v in integer_kernel_basis(S.matrix)
     ]
-    interim = BinomialIdealBasis(tuple(projected), y_order)
-    return reduce_basis(interim)
+    for i in range(k):
+        order = TermOrder.revlex(weights, i)
+        basis = buchberger((binomial(a, b, order) for a, b in pairs), order, max_steps=max_steps)
+        pairs = []
+        for b in reduce_basis(basis).binomials:
+            common = tuple(min(b.plus[i], b.minus[i]) if j == i else 0 for j in range(k))
+            pairs.append((vsub(b.plus, common), vsub(b.minus, common)))
+    order = TermOrder.grlex(k)
+    basis = buchberger((binomial(a, b, order) for a, b in pairs), order, max_steps=max_steps)
+    return reduce_basis(basis)

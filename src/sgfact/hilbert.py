@@ -112,7 +112,8 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
             active.remove(nonzero[0])
     basis = []
     for j in active:
-        assert all(c == 0 for c in cols[j])
+        if any(cols[j]):
+            raise AssertionError("column reduction left a nonzero kernel column")
         basis.append(tuple(unimod[j]))
     return basis
 

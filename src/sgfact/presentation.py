@@ -1,47 +1,26 @@
 """Minimal presentations, Betti elements, and delta-set bounds.
 
-A minimal presentation is assembled fiber by fiber: candidate values come
-from a binomial generating set of the defining ideal, and at each candidate
-the factorization fiber is split into components of the shared-support graph;
-a fiber with c >= 2 components contributes c - 1 star relations.
+A minimal presentation is assembled fiber by fiber: the candidate values are
+those of the members of the defining ideal's reduced Groebner basis, which
+include every Betti value.  At each candidate the factorization fiber is
+split into components of the shared-support graph; a fiber with c >= 2
+components contributes c - 1 star relations.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .core import AffineSemigroup, Vector, delta_of_element, factorizations
-from .hilbert import integer_kernel_basis, primitive_kernel_vectors
+from .core import AffineSemigroup, Vector, delta_of_element, factorizations, value_of
 from .grobner import toric_ideal
 
 Relation = tuple[Vector, Vector]
 
-# kernel lattices up to this dimension use the primitive-vector completion for
-# Betti candidates; wider kernels go through the elimination-based ideal, whose
-# cost does not grow with the kernel dimension
-_KERNEL_DIM_CUTOFF = 6
-
-
-def _value_of(S: AffineSemigroup, z: Vector) -> Vector:
-    out = [0] * S.dim
-    for count, atom in zip(z, S.generators):
-        if count:
-            for i, c in enumerate(atom):
-                out[i] += count * c
-    return tuple(out)
-
 
 def _betti_candidates(S: AffineSemigroup, *, max_steps: int | None = None) -> list[Vector]:
-    kernel_dim = len(integer_kernel_basis(S.matrix))
-    if kernel_dim == 0:
-        return []
-    if kernel_dim <= _KERNEL_DIM_CUTOFF:
-        vectors = primitive_kernel_vectors(S.matrix, max_steps=max_steps)
-        values = {_value_of(S, tuple(c if c > 0 else 0 for c in v)) for v in vectors}
-    else:
-        ideal = toric_ideal(S, max_steps=max_steps)
-        values = {_value_of(S, b.plus) for b in ideal.binomials}
-    return sorted(values)
+    # every homogeneous binomial generating set has a member at each Betti value
+    ideal = toric_ideal(S, max_steps=max_steps)
+    return sorted({value_of(S, b.plus) for b in ideal.binomials})
 
 
 def _support_components(fiber: tuple[Vector, ...]) -> list[list[Vector]]:
@@ -96,7 +75,7 @@ def minimal_presentation(
 
 def betti_elements(S: AffineSemigroup, *, max_steps: int | None = None) -> tuple[Vector, ...]:
     """Values of the relations in a minimal presentation (independent of the choice)."""
-    return tuple(sorted({_value_of(S, z) for z, _ in minimal_presentation(S, max_steps=max_steps)}))
+    return tuple(sorted({value_of(S, z) for z, _ in minimal_presentation(S, max_steps=max_steps)}))
 
 
 def delta_bounds(
@@ -118,7 +97,7 @@ def delta_bounds(
     for g in nonzero:
         lower = gcd(lower, g)
     upper = 0
-    for value in {_value_of(S, z) for z, _ in relations}:
+    for value in {value_of(S, z) for z, _ in relations}:
         deltas = delta_of_element(S, value)
         if deltas:
             upper = max(upper, deltas[-1])

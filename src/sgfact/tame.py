@@ -21,6 +21,7 @@ from .core import (
     as_vector,
     dist,
     factorizations,
+    value_of,
 )
 from .errors import ConstructionError, NotFullError, NotInSemigroupError
 from .hilbert import Relation, diophantine_system, hilbert_basis, minimal_solutions
@@ -39,7 +40,8 @@ class FullSemigroupWitness:
     @property
     def system(self) -> CongruenceSystem:
         eq = self.semigroup.equations
-        assert eq is not None
+        if eq is None:
+            raise NotFullError("semigroup carries no defining congruences")
         return eq
 
     def member(self, gamma: Vector) -> bool:
@@ -117,14 +119,6 @@ def minimals_principal_ideal(
     )
 
 
-def _value(S: AffineSemigroup, z: Vector) -> Vector:
-    out = [0] * S.dim
-    for count, atom in zip(z, S.generators):
-        for i, c in enumerate(atom):
-            out[i] += count * c
-    return tuple(out)
-
-
 def tame_i_full(F: FullSemigroupWitness, atom_index: int, *, max_steps: int | None = None) -> int:
     """Tame degree of a full semigroup with respect to one atom (0-based index).
 
@@ -147,9 +141,10 @@ def tame_i_full(F: FullSemigroupWitness, atom_index: int, *, max_steps: int | No
         return 0
     best = 0
     for z in candidates:
-        value = _value(S, z)
+        value = value_of(S, z)
         with_atom = [w for w in factorizations(S, value) if w[atom_index] > 0]
-        assert with_atom, "fullness guarantees a factorization through the atom"
+        if not with_atom:
+            raise AssertionError("fullness guarantees a factorization through the atom")
         shortest = min(sum(w) for w in with_atom)
         # minimality of z forces disjoint supports, so distances degenerate
         # to plain lengths; keep the general formula honest in debug runs

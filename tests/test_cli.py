@@ -1,0 +1,43 @@
+import pytest
+
+from sgfact.cli import run
+
+# kernel dimension 7
+WIDE = "(0,0,2);(0,1,1);(0,1,2);(0,2,0);(1,0,1);(1,1,0);(1,1,1);(2,0,0);(2,1,0);(3,0,0)"
+
+
+class TestSuccess:
+    def test_min_presentation_plain(self):
+        assert run(["min-presentation", "--gens", "3 4 5"]) == (
+            0,
+            "(1,0,1) (0,2,0)\n(2,1,0) (0,0,2)\n(3,0,0) (0,1,1)\n",
+        )
+
+    def test_min_presentation_json(self):
+        assert run(["min-presentation", "--gens", "3 4 5", "--format", "json"]) == (
+            0,
+            '{"relations":[[[1,0,1],[0,2,0]],[[2,1,0],[0,0,2]],[[3,0,0],[0,1,1]]]}\n',
+        )
+
+    @pytest.mark.parametrize("method", ["grobner", "hilbert"])
+    def test_delta_set(self, method):
+        argv = ["delta-set", "--gens", "17 33 53 71", "--method", method]
+        assert run(argv) == (0, "2 4 6\n")
+        assert run(argv + ["--format", "json"]) == (0, '{"delta_set":[2,4,6]}\n')
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["factorizations", "--gens", "3 4 5", "--element", "(1,2"], 2),
+        (["factorizations", "--gens", "3 4 5", "--element", "(99999999999999999999)"], 2),
+        (["delta-set", "--gens", "3 99999999999999999999"], 2),
+        (["length-set", "--gens", "3 4 5", "--element", "2"], 3),
+        (["catenary-range", "--gens", "(1,0);(1,1);(0,2)", "--bound", "5"], 3),
+        # the budget reaches every Buchberger run of the toric-ideal engine
+        (["min-presentation", "--gens", WIDE, "--max-steps", "1"], 4),
+    ],
+)
+def test_error_exit_codes(argv, code, capsys):
+    assert run(argv) == (code, "")
+    assert capsys.readouterr().err.startswith("sgfact: error: ")

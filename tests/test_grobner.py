@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from sgfact import affine_semigroup, graver_basis
+from sgfact import ConstructionError, affine_semigroup, graver_basis
 from sgfact.grobner import (
     ZERO,
     Binomial,
     BinomialIdealBasis,
-    OrderKind,
     TermOrder,
     binomial,
     buchberger,
@@ -17,6 +16,8 @@ from sgfact.grobner import (
     spair,
     toric_ideal,
 )
+
+from oracles import random_affine_semigroup
 
 LEX3 = TermOrder.lex(3)
 
@@ -36,14 +37,21 @@ class TestTermOrders:
         reversed_lex = TermOrder.lex(2, priority=[1, 0])
         assert reversed_lex.greater((0, 1), (5, 0))
 
-    def test_block_elimination_dominance(self):
-        # variables 2,3 eliminated: any monomial touching them wins
-        order = TermOrder.block_elim(4, [2, 3])
-        assert order.greater((0, 0, 1, 0), (9, 9, 0, 0))
-        assert order.kind is OrderKind.BLOCK_ELIM
+    def test_revlex_tie_break(self):
+        # weighted degree first
+        assert TermOrder.revlex((1, 2, 3), 0).greater((0, 0, 1), (2, 0, 0))
+        # equal degree: the smaller exponent of x_1 wins, then of x_3, then of x_2
+        order = TermOrder.revlex((1, 1, 1, 1), 1)
+        assert order.greater((0, 0, 0, 3), (0, 1, 0, 2))
+        assert order.greater((3, 0, 0, 0), (0, 0, 0, 3))
+        assert order.greater((2, 0, 0, 0), (1, 0, 1, 0))
+
+    def test_revlex_rejects_nonpositive_weight(self):
+        with pytest.raises(ConstructionError):
+            TermOrder.revlex((1, 0, 2), 1)
 
     @pytest.mark.parametrize(
-        "order", [TermOrder.lex(3), TermOrder.grlex(3), TermOrder.block_elim(3, [0])]
+        "order", [TermOrder.lex(3), TermOrder.grlex(3), TermOrder.revlex((1, 2, 3), 0)]
     )
     def test_refines_divisibility(self, order):
         rng = random.Random(5)
@@ -200,6 +208,22 @@ class TestToricIdeal:
 
     def test_free_monoid_zero_ideal(self):
         assert toric_ideal(affine_semigroup([(1, 0), (0, 1)])).binomials == ()
+
+    def test_matches_reduced_graver_basis(self):
+        # the Graver basis is a universal Groebner basis; it comes from the
+        # completion engine in hilbert.py, not from saturation and Buchberger
+        rng = random.Random(29)
+        instances = []
+        while len(instances) < 20:
+            s = affine_semigroup(rng.sample(range(2, 40), rng.randint(3, 5)))
+            if len(s.generators) >= 3:
+                instances.append(s)
+        instances += [random_affine_semigroup(rng, d=rng.randint(2, 3), k_max=5) for _ in range(8)]
+        for s in instances:
+            order = TermOrder.grlex(len(s.generators))
+            graver = [binomial(z, w, order) for z, w in graver_basis(s)]
+            expected = reduce_basis(BinomialIdealBasis(tuple(graver), order))
+            assert toric_ideal(s).binomials == expected.binomials, s
 
     @pytest.mark.parametrize("gens", [[2, 3], [3, 4, 5], [(1, 0), (1, 1), (0, 2)]])
     def test_members_are_kernel_relations(self, gens):

@@ -1,12 +1,42 @@
 import random
 
 from sgfact import affine_semigroup, graver_basis
+from sgfact.core import value_of
 from sgfact.grobner import binomial, buchberger, normal_form, toric_ideal
-from sgfact.presentation import (
-    _value_of,
-    betti_elements,
-    delta_bounds,
-    minimal_presentation,
+from sgfact.presentation import betti_elements, delta_bounds, minimal_presentation
+
+# kernel dimension 7; the relations were recorded from the block-elimination
+# engine that toric_ideal replaced
+WIDE = affine_semigroup(
+    [(0, 0, 2), (0, 1, 1), (0, 1, 2), (0, 2, 0), (1, 0, 1),
+     (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0)]
+)  # fmt: skip
+WIDE_PRESENTATION = (
+    ((0, 0, 0, 0, 0, 0, 0, 3, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 0, 2)),
+    ((0, 0, 0, 0, 0, 1, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0, 1, 1, 0)),
+    ((0, 0, 0, 0, 0, 1, 0, 2, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1, 1)),
+    ((0, 0, 0, 0, 0, 2, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 2, 0)),
+    ((0, 0, 0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 1, 1, 0, 0)),
+    ((0, 0, 0, 0, 1, 1, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+    ((0, 0, 0, 0, 1, 2, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0, 1, 0)),
+    ((0, 0, 0, 1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1, 0, 0, 1, 0)),
+    ((0, 0, 0, 1, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 2, 0, 0, 0, 0)),
+    ((0, 0, 0, 1, 2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2, 0, 0, 0)),
+    ((0, 0, 1, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 2, 1, 0, 0, 0, 0)),
+    ((0, 0, 1, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, 0, 0, 0)),
+    ((0, 0, 1, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0, 1, 0, 0, 0)),
+    ((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1, 1, 0, 0)),
+    ((0, 1, 0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 1, 0, 0, 0)),
+    ((0, 1, 0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)),
+    ((0, 1, 0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 1, 0, 0, 1, 0, 0, 0, 0)),
+    ((0, 1, 0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0, 0, 0)),
+    ((0, 2, 0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 1, 0, 0, 0)),
+    ((1, 0, 0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0, 1, 0, 0, 0)),
+    ((1, 0, 0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 2, 0, 0, 0, 0, 0)),
+    ((1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 1, 0, 1, 0, 0, 0, 0, 0)),
+    ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ((1, 2, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0, 0, 0, 0, 0)),
 )
 
 
@@ -34,10 +64,13 @@ class TestMinimalPresentation:
     def test_free_monoid_has_no_relations(self):
         assert minimal_presentation(affine_semigroup([(1, 0), (0, 1)])) == ()
 
+    def test_kernel_dimension_seven(self):
+        assert minimal_presentation(WIDE) == WIDE_PRESENTATION
+
     def test_relations_are_kernel_pairs(self):
         s = affine_semigroup([11, 36, 39])
         for z, w in minimal_presentation(s):
-            assert _value_of(s, z) == _value_of(s, w)
+            assert value_of(s, z) == value_of(s, w)
 
     def test_generates_the_defining_ideal(self):
         for gens in ([3, 4, 5], [11, 36, 39], [(1, 0), (1, 1), (0, 2)], [2, 3]):
@@ -73,7 +106,7 @@ class TestBettiElements:
             s = affine_semigroup(gens)
             betti = set(betti_elements(s))
             graver_values = {
-                _value_of(s, z) for z, _ in graver_basis(s)
+                value_of(s, z) for z, _ in graver_basis(s)
             }
             assert betti <= graver_values
 
