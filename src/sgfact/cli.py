@@ -138,7 +138,13 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--gens-file", help="file containing a generator list")
     parser.add_argument("--equations", help="JSON file {'matrix': [[..]], 'moduli': [..]} (full semigroup)")
     parser.add_argument("--format", choices=("plain", "json"), default="plain")
-    parser.add_argument("--max-steps", type=int, default=None, help="abort completion loops after N steps")
+    parser.add_argument(
+        "--max-steps",
+        type=int,
+        default=None,
+        help="abort any completion loop after N steps: Graver queue pops, Hilbert frontier rows, "
+        "or S-pairs that survive the pair criteria in one Buchberger run",
+    )
 
 
 def _build_parser() -> _Parser:

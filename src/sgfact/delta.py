@@ -19,7 +19,6 @@ from math import gcd
 from .core import AffineSemigroup, affine_semigroup, delta_of_element, value_of
 from .errors import ConstructionError
 from .grobner import (
-    BinomialIdealBasis,
     TermOrder,
     binomial,
     buchberger,
@@ -126,14 +125,3 @@ def delta_set_grobner(S: AffineSemigroup, *, max_steps: int | None = None) -> tu
             out.add(j)
     return tuple(sorted(out))
 
-
-def _chain_state(
-    S: AffineSemigroup, *, max_steps: int | None = None
-) -> tuple[tuple[int, ...], BinomialIdealBasis, dict[int, list]]:
-    """Delta set plus the final chain basis and gap buckets (for invariant checks)."""
-    result = delta_set_hilbert(S, max_steps=max_steps)
-    buckets = _gap_buckets(S, max_steps=max_steps)
-    order = TermOrder.grlex(len(S.generators))
-    gens = [b for j in result for b in buckets.get(j, [])] + buckets.get(0, [])
-    basis = buchberger(gens, order, max_steps=max_steps)
-    return result, basis, buckets

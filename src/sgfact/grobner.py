@@ -5,6 +5,14 @@ and -1, so a polynomial is just an ordered pair of exponent vectors and the
 whole Buchberger loop closes over that representation: S-pairs and remainders
 of binomials are again binomials (or zero).
 
+Buchberger installs each new basis member by the update of Gebauer and
+Moeller ("On an installation of Buchberger's algorithm", JSC 6, 1988): the
+chain criterion drops pending pairs, and criteria M and F and the coprime
+criterion drop the new member's own pairs.  Division looks up the first
+divisor in basis order on a numpy matrix of leading exponents that grows
+with the basis.  The matrix holds exponents clipped at 2^62 and only
+preselects; every hit is confirmed on the exact tuples.
+
 Binomials are NOT normalized by cancelling a common monomial factor.  That
 cancellation is only sound for saturated (toric) ideals; the ascending-chain
 ideals used by the delta-set computation are generated by kernel binomials
@@ -17,7 +25,10 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import AffineSemigroup, Vector, vadd, vsub
 from .errors import ConstructionError, ResourceLimitError
@@ -140,45 +151,114 @@ class BinomialIdealBasis:
     order: TermOrder
     reduced: bool = False
 
+    @cached_property
+    def _index(self) -> "_LeadIndex":
+        return _LeadIndex(self.order, self.binomials)
+
 
 def _divides(a: Vector, b: Vector) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def normal_form(f: Binomial, G: BinomialIdealBasis) -> Binomial:
+def _lcm(a: Vector, b: Vector) -> Vector:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+_CLIP = 1 << 62
+
+
+def _clipped(exponent: Vector) -> list[int]:
+    return [e if e < _CLIP else _CLIP for e in exponent]
+
+
+class _Rows:
+    """A growing int64 matrix of exponent vectors, clipped at 2^62.
+
+    Clipping keeps the componentwise order (a <= b implies clip(a) <= clip(b)),
+    so a test on the rows only preselects: every hit is confirmed on the exact
+    tuples, and exponents beyond int64 stay exact.
+    """
+
+    def __init__(self, ncols: int):
+        self.mat = np.zeros((64, ncols), dtype=np.int64)
+        self.count = 0
+
+    def append(self, exponent: Vector) -> None:
+        if self.count == len(self.mat):
+            self.mat = np.vstack([self.mat, np.zeros_like(self.mat)])
+        self.mat[self.count] = _clipped(exponent)
+        self.count += 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.mat[: self.count]
+
+
+class _LeadIndex:
+    """The members of a growing basis, with their leading exponents as rows."""
+
+    def __init__(self, order: TermOrder, members: Iterable[Binomial] = ()):
+        self.order = order
+        self.members: list[Binomial] = []
+        self.leads = _Rows(order.nvars)
+        for b in members:
+            self.add(b)
+
+    def add(self, b: Binomial) -> None:
+        self.members.append(b)
+        self.leads.append(b.plus)
+
+    def divisor(self, exponent: Vector, skip: int = -1) -> Binomial | None:
+        """The first member in basis order, other than ``skip``, whose leading term divides."""
+        fits = (self.leads.rows <= _clipped(exponent)).all(axis=1)
+        for idx in np.flatnonzero(fits):
+            g = self.members[idx]
+            if idx != skip and _divides(g.plus, exponent):
+                return g
+        return None
+
+
+def normal_form(f: Binomial, G: BinomialIdealBasis, *, _skip: int = -1) -> Binomial:
     """Remainder of binomial division of f by the members of G.
 
-    When G is a Groebner basis the result is the canonical normal form and is
-    ZERO exactly for members of the ideal; otherwise the remainder is merely
-    order-correct.  Both terms are fully reduced.
+    Each step divides by the first member in basis order whose leading term
+    divides the current term; a matrix of leading exponents, kept with G,
+    finds it.  When G is a Groebner basis the result is the canonical normal
+    form and is ZERO exactly for members of the ideal; otherwise the
+    remainder is merely order-correct.  Both terms are fully reduced.
+    ``_skip`` leaves out the member at that position, so that
+    ``reduce_basis`` can divide a member by the others.
     """
     if f.is_zero:
         return ZERO
-    order = G.order
-    members = G.binomials
+    index, order = G._index, G.order
     plus, minus = f.plus, f.minus
-    while True:
-        reducer = next((g for g in members if _divides(g.plus, plus)), None)
-        if reducer is None:
-            break
-        plus = vadd(vsub(plus, reducer.plus), reducer.minus)
+    while (g := index.divisor(plus, _skip)) is not None:
+        plus = vadd(vsub(plus, g.plus), g.minus)
         if plus == minus:
             return ZERO
         if order.greater(minus, plus):
             plus, minus = minus, plus
-    while True:
-        reducer = next((g for g in members if _divides(g.plus, minus)), None)
-        if reducer is None:
-            break
-        minus = vadd(vsub(minus, reducer.plus), reducer.minus)
+    while (g := index.divisor(minus, _skip)) is not None:
+        minus = vadd(vsub(minus, g.plus), g.minus)
         if plus == minus:
             return ZERO
     return Binomial(plus, minus)
 
 
+def _view(index: _LeadIndex) -> BinomialIdealBasis:
+    """The current members of a growing index, as a basis that divides through it.
+
+    The index keeps growing, so a view is used only until the next member arrives.
+    """
+    G = BinomialIdealBasis(tuple(index.members), index.order)
+    G.__dict__["_index"] = index  # seeds the cached property
+    return G
+
+
 def spair(f: Binomial, g: Binomial, order: TermOrder) -> Binomial:
     """The S-polynomial of two binomials, itself a binomial (or ZERO)."""
-    lcm = tuple(max(a, b) for a, b in zip(f.plus, g.plus))
+    lcm = _lcm(f.plus, g.plus)
     left = vadd(vsub(lcm, f.plus), f.minus)
     right = vadd(vsub(lcm, g.plus), g.minus)
     return binomial(left, right, order)
@@ -192,9 +272,14 @@ def buchberger(
 ) -> BinomialIdealBasis:
     """A Groebner basis of the ideal generated by pure-difference binomials.
 
-    Normal selection strategy (smallest lcm first, FIFO ties) with the
-    coprime-leading-term criterion; every S-pair remainder is a binomial, so
-    the loop never leaves the two-term representation.
+    Normal selection strategy (smallest lcm first, FIFO ties).  Each new
+    member is installed by the update of Gebauer-Moeller ("On an installation
+    of Buchberger's algorithm", JSC 6, 1988): the chain criterion drops
+    pending pairs, and criteria M and F and the coprime-leading-term
+    criterion drop the new member's own pairs.  ``max_steps`` bounds the
+    number of pairs taken off the queue, which counts only pairs that survive
+    the criteria.  Every S-pair remainder is a binomial, so the loop never
+    leaves the two-term representation.
     """
     return _buchberger_extend([], gens, order, max_steps=max_steps)
 
@@ -205,7 +290,12 @@ def buchberger_extend(
     *,
     max_steps: int | None = None,
 ) -> BinomialIdealBasis:
-    """Extend an existing Groebner basis with extra generators (pairs inside G are skipped)."""
+    """Extend an existing Groebner basis with extra generators.
+
+    The members of G form a settled prefix: pairs inside it are never formed,
+    and only pairs with a new member enter the queue, under the criteria and
+    the step count of ``buchberger``.
+    """
     return _buchberger_extend(list(G.binomials), new_gens, G.order, max_steps=max_steps)
 
 
@@ -216,41 +306,80 @@ def _buchberger_extend(
     *,
     max_steps: int | None = None,
 ) -> BinomialIdealBasis:
-    basis: list[Binomial] = list(prefix)
+    index = _LeadIndex(order, prefix)
+    basis = index.members
     counter = itertools.count()
-    pairs: list[tuple[tuple, int, int, int]] = []
+    queue: list[tuple[tuple, int]] = []
+    lcms = _Rows(order.nvars)  # row c: the lcm of the c-th pair queued
+    pending: dict[int, tuple[int, int, Vector]] = {}  # queued pairs not yet dropped
 
-    def push_pairs(idx: int) -> None:
-        g = basis[idx]
-        for j in range(idx):
-            h = basis[j]
-            if all(a == 0 or b == 0 for a, b in zip(g.plus, h.plus)):
-                continue  # coprime leading terms: S-pair reduces to zero
-            lcm = tuple(max(a, b) for a, b in zip(g.plus, h.plus))
-            heapq.heappush(pairs, (order.key(lcm), next(counter), idx, j))
+    def install(k: int) -> None:
+        """The Gebauer-Moeller update for the new member k."""
+        h = basis[k].plus
+        # chain criterion: a pending pair whose lcm the new leading term divides
+        # is redundant unless its lcm equals that of one of its ends with k
+        for c in np.flatnonzero((lcms.rows >= _clipped(h)).all(axis=1)):
+            pair = pending.get(c)
+            if pair is None:
+                continue
+            i, j, lcm = pair
+            if _divides(h, lcm) and _lcm(basis[i].plus, h) != lcm and _lcm(basis[j].plus, h) != lcm:
+                del pending[c]
+        if not k:
+            return
+        leads = index.leads.rows[:k]
+        row = index.leads.rows[k]
+        ends = np.maximum(leads, row)
+        coprime = ~((leads > 0) & (row > 0)).any(axis=1)
+        # criteria M and F: (i, k) is redundant when some (j, k) has an lcm that
+        # divides its own, properly, or equally with j earlier or coprime (a
+        # coprime pair of the same lcm takes its whole class with it).  The lcm
+        # of (j, k) divides that of (i, k) exactly when the leading term of j
+        # does, which confirms a witness on the exact exponents.
+        rows = np.flatnonzero(~coprime)
+        chunk = max(1, 10_000_000 // (k * order.nvars))
+        for start in range(0, len(rows), chunk):
+            block = rows[start : start + chunk]
+            own = ends[block][:, None, :]
+            witness = (ends[None, :, :] <= own).all(axis=2) & (
+                (ends[None, :, :] != own).any(axis=2)
+                | (np.arange(k)[None, :] < block[:, None])
+                | coprime[None, :]
+            )
+            for a, i in enumerate(block.tolist()):
+                lcm = _lcm(basis[i].plus, h)
+                if not any(_divides(basis[j].plus, lcm) for j in np.flatnonzero(witness[a])):
+                    c = next(counter)
+                    lcms.append(lcm)
+                    pending[c] = (i, k, lcm)
+                    heapq.heappush(queue, (order.key(lcm), c))
 
-    fresh = [b for b in gens if not b.is_zero]
-    for b in fresh:
-        basis.append(b)
-        push_pairs(len(basis) - 1)
+    for b in gens:
+        if not b.is_zero:
+            index.add(b)
+            install(len(basis) - 1)
 
     steps = 0
-    view = BinomialIdealBasis(tuple(basis), order)
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+    current = _view(index)
+    while queue:
+        _, c = heapq.heappop(queue)
+        pair = pending.pop(c, None)
+        if pair is None:
+            continue
         steps += 1
         if max_steps is not None and steps > max_steps:
             raise ResourceLimitError(max_steps)
+        i, j, _ = pair
         s = spair(basis[i], basis[j], order)
         if s.is_zero:
             continue
-        r = normal_form(s, view)
+        r = normal_form(s, current)
         if r.is_zero:
             continue
-        basis.append(r)
-        view = BinomialIdealBasis(tuple(basis), order)
-        push_pairs(len(basis) - 1)
-    return view
+        index.add(r)
+        install(len(basis) - 1)
+        current = _view(index)
+    return current
 
 
 def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
@@ -261,25 +390,24 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
     canonically sorted, independent of the input presentation.
     """
     order = G.order
-    members = [b for b in G.binomials if not b.is_zero]
-    members.sort(key=lambda b: order.key(b.plus))
-    minimal: list[Binomial] = []
+    members = sorted((b for b in G.binomials if not b.is_zero), key=lambda b: order.key(b.plus))
+    index = _LeadIndex(order)
     for b in members:
-        if not any(_divides(m.plus, b.plus) for m in minimal):
-            minimal.append(b)
+        if index.divisor(b.plus) is None:
+            index.add(b)
+    minimal = index.members
+    # no other leading term divides a member's own, so reducing it against the
+    # others rewrites only its trailing term and its row stays valid
+    view = _view(index)
     changed = True
     while changed:
         changed = False
         for i, b in enumerate(minimal):
-            others = BinomialIdealBasis(tuple(minimal[:i] + minimal[i + 1 :]), order)
-            r = normal_form(b, others)
+            r = normal_form(b, view, _skip=i)
             if r != b:
-                if r.is_zero:
-                    del minimal[i]
-                else:
-                    minimal[i] = r
+                minimal[i] = r
+                view = _view(index)
                 changed = True
-                break
     minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
     return BinomialIdealBasis(tuple(minimal), order, reduced=True)
 

@@ -1,16 +1,18 @@
 """Independent brute-force oracles and random instance generators.
 
 Everything here enumerates boxes with itertools and checks definitions
-directly; none of it shares code with the search engines it is used to
-verify.
+directly, or runs the plain textbook loop; none of it shares code with the
+search engines it is used to verify beyond the binomial and term-order types.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-from itertools import product
+from itertools import count, product
 
 from sgfact import AffineSemigroup, affine_semigroup
+from sgfact.grobner import Binomial
 
 
 def brute_factorizations(gens, gamma):
@@ -89,3 +91,88 @@ def random_affine_semigroup(rng: random.Random, d=2, k_max=4, entry_max=8) -> Af
                 gens.append(v)
         if gens:
             return affine_semigroup(gens)
+
+
+
+def reference_groebner(gens, order):
+    """The reduced Groebner basis of a binomial ideal, by the plain Buchberger loop.
+
+    A copy of the engine before it gained pair criteria and a divisor index:
+    every pair without coprime leading terms is reduced, smallest lcm first,
+    each division step scans the basis linearly for the first divisor, and
+    the interreduction restarts after every change.  Only ``Binomial`` and
+    ``TermOrder`` come from the engine; ``None`` stands for the zero binomial.
+    """
+
+    def orient(a, b):
+        if a == b:
+            return None
+        return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def step(term, g):
+        return tuple(t - p + m for t, p, m in zip(term, g.plus, g.minus))
+
+    def normal_form(f, members):
+        plus, minus = f.plus, f.minus
+        while (g := next((g for g in members if divides(g.plus, plus)), None)) is not None:
+            plus = step(plus, g)
+            if plus == minus:
+                return None
+            if order.greater(minus, plus):
+                plus, minus = minus, plus
+        while (g := next((g for g in members if divides(g.plus, minus)), None)) is not None:
+            minus = step(minus, g)
+            if plus == minus:
+                return None
+        return Binomial(plus, minus)
+
+    basis = []
+    counter = count()
+    pairs = []
+
+    def push_pairs(idx):
+        g = basis[idx]
+        for j in range(idx):
+            h = basis[j]
+            if all(a == 0 or b == 0 for a, b in zip(g.plus, h.plus)):
+                continue
+            heapq.heappush(pairs, (order.key(lcm(g.plus, h.plus)), next(counter), idx, j))
+
+    for b in gens:
+        if not b.is_zero:
+            basis.append(b)
+            push_pairs(len(basis) - 1)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        top = lcm(basis[i].plus, basis[j].plus)
+        s = orient(step(top, basis[i]), step(top, basis[j]))
+        r = normal_form(s, basis) if s is not None else None
+        if r is not None:
+            basis.append(r)
+            push_pairs(len(basis) - 1)
+
+    basis.sort(key=lambda b: order.key(b.plus))
+    minimal = []
+    for b in basis:
+        if not any(divides(m.plus, b.plus) for m in minimal):
+            minimal.append(b)
+    changed = True
+    while changed:
+        changed = False
+        for i, b in enumerate(minimal):
+            r = normal_form(b, minimal[:i] + minimal[i + 1 :])
+            if r != b:
+                if r is None:
+                    del minimal[i]
+                else:
+                    minimal[i] = r
+                changed = True
+                break
+    minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
+    return tuple(minimal)

@@ -36,6 +36,8 @@ class TestSuccess:
         (["catenary-range", "--gens", "(1,0);(1,1);(0,2)", "--bound", "5"], 3),
         # the budget reaches every Buchberger run of the toric-ideal engine
         (["min-presentation", "--gens", WIDE, "--max-steps", "1"], 4),
+        # and the criteria-filtered saturation of the homogenized semigroup
+        (["delta-set", "--gens", "17 33 53 71", "--method", "grobner", "--max-steps", "20"], 4),
     ],
 )
 def test_error_exit_codes(argv, code, capsys):

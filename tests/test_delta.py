@@ -5,15 +5,27 @@ import pytest
 
 from sgfact import affine_semigroup, delta_of_element
 from sgfact.delta import (
-    _chain_state,
+    _gap_buckets,
     delta_set_grobner,
     delta_set_hilbert,
     homogenize,
 )
-from sgfact.grobner import normal_form
+from sgfact.grobner import BinomialIdealBasis, TermOrder, buchberger, normal_form
 from sgfact.presentation import delta_bounds
 
 from oracles import random_affine_semigroup, random_numerical_semigroup
+
+
+def _chain_state(
+    S, *, max_steps: int | None = None
+) -> tuple[tuple[int, ...], BinomialIdealBasis, dict[int, list]]:
+    """Delta set plus the final chain basis and gap buckets (for invariant checks)."""
+    result = delta_set_hilbert(S, max_steps=max_steps)
+    buckets = _gap_buckets(S, max_steps=max_steps)
+    order = TermOrder.grlex(len(S.generators))
+    gens = [b for j in result for b in buckets.get(j, [])] + buckets.get(0, [])
+    basis = buchberger(gens, order, max_steps=max_steps)
+    return result, basis, buckets
 
 
 class TestHomogenize:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sgfact import ConstructionError, affine_semigroup, graver_basis
+from sgfact.delta import _gap_buckets
 from sgfact.grobner import (
     ZERO,
     Binomial,
@@ -17,7 +18,7 @@ from sgfact.grobner import (
     toric_ideal,
 )
 
-from oracles import random_affine_semigroup
+from oracles import random_affine_semigroup, reference_groebner
 
 LEX3 = TermOrder.lex(3)
 
@@ -238,3 +239,75 @@ class TestToricIdeal:
                 for i in range(s.dim)
             ]
             assert plus_value == minus_value
+
+
+def _random_ideal(rng):
+    nvars = rng.randint(3, 5)
+    order = rng.choice(
+        [
+            TermOrder.lex(nvars),
+            TermOrder.grlex(nvars),
+            TermOrder.revlex([rng.randint(1, 4) for _ in range(nvars)], rng.randrange(nvars)),
+        ]
+    )
+    gens = []
+    for _ in range(rng.randint(2, 5)):
+        a = tuple(rng.randint(0, 4) for _ in range(nvars))
+        b = tuple(rng.randint(0, 4) for _ in range(nvars))
+        gens.append(binomial(a, b, order))
+    return gens, order
+
+
+class TestPairCriteria:
+    # the pair criteria and the divisor index must not change the reduced basis
+    # that the plain all-pairs loop computes
+
+    def test_random_ideals(self):
+        # the seed keeps the reference loop near 2 s; random lex ideals with
+        # five variables can take it half a minute
+        rng = random.Random(4)
+        for _ in range(30):
+            gens, order = _random_ideal(rng)
+            expected = reference_groebner(gens, order)
+            assert reduce_basis(buchberger(gens, order)).binomials == expected, (gens, order)
+            # the members of the first run are a settled prefix of the second
+            cut = len(gens) // 2
+            grown = buchberger_extend(buchberger(gens[:cut], order), gens[cut:])
+            assert reduce_basis(grown).binomials == expected, (gens, order, cut)
+
+    @pytest.mark.parametrize("atoms, top", [([3, 4, 5], 1), ([17, 33, 53, 71], 6)])
+    def test_chain_ideals(self, atoms, top):
+        # the ascending ideals of the delta-set chain route, one per gap up to
+        # the largest delta, are not saturated
+        s = affine_semigroup(atoms)
+        order = TermOrder.grlex(len(s.generators))
+        buckets = _gap_buckets(s)
+        gens = []
+        for j in sorted(buckets):
+            if j > top:
+                break
+            gens += buckets[j]
+            expected = reference_groebner(gens, order)
+            assert reduce_basis(buchberger(gens, order)).binomials == expected, j
+
+
+class TestBeyondInt64:
+    # exponents past the range of the int64 divisor index stay exact
+    E = 2**70
+
+    def test_normal_form(self):
+        E = self.E
+        basis = _basis([binomial((E, 0, 0), (0, 1, 0), LEX3)])
+        f = binomial((E + 1, 0, 0), (0, 0, 1), LEX3)
+        assert normal_form(f, basis) == binomial((1, 1, 0), (0, 0, 1), LEX3)
+        g = binomial((E - 1, 0, 1), (0, 0, 0), LEX3)
+        assert normal_form(g, basis) == g
+
+    def test_reduced_basis(self):
+        E = self.E
+        gens = [binomial((E, 0, 0), (0, 1, 0), LEX3), binomial((0, 0, E), (0, 1, 0), LEX3)]
+        reduced = reduce_basis(buchberger(gens, LEX3))
+        assert [(b.plus, b.minus) for b in reduced.binomials] == [
+            ((0, 1, 0), (0, 0, E)),
+            ((E, 0, 0), (0, 0, E)),
+        ]
