@@ -19,6 +19,7 @@ from .errors import (
     ResourceLimitError,
     SgfactError,
     UnsupportedDimensionError,
+    step_limit,
 )
 from .hilbert import (
     DiophantineSystem,
@@ -58,4 +59,5 @@ __all__ = [
     "ResourceLimitError",
     "SgfactError",
     "UnsupportedDimensionError",
+    "step_limit",
 ]

@@ -5,9 +5,13 @@ One subcommand per invariant; a semigroup comes from inline generators
 semigroup.  Output is deterministic: plain text or compact JSON with sorted
 keys, vectors as integer arrays, every set sorted.
 
-Exit codes: 0 success, 2 parse/validation error, 3 semantic error (element
-outside the semigroup, non-full input where fullness is required), 4 step
-budget exceeded.
+``--max-steps N`` runs the whole command under ``step_limit(N)``: every
+completion loop it starts (Graver queue, Hilbert frontier search, each
+Buchberger run) aborts after N steps of its own.
+
+Exit codes: 0 success, 2 parse/validation error (a negative ``--max-steps``
+included), 3 semantic error (element outside the semigroup, non-full input
+where fullness is required), 4 step budget exceeded.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import (
     ResourceLimitError,
     SgfactError,
     UnsupportedDimensionError,
+    step_limit,
 )
 from .hilbert import Relation, diophantine_system, graver_basis, hilbert_basis, minimal_solutions
 
@@ -96,7 +101,7 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _semigroup_from_args(args, *, max_steps=None) -> tuple[AffineSemigroup, "_tame.FullSemigroupWitness | None"]:
+def _semigroup_from_args(args) -> tuple[AffineSemigroup, "_tame.FullSemigroupWitness | None"]:
     sources = [s for s in (args.gens, args.gens_file, args.equations) if s]
     if len(sources) != 1:
         raise _UsageError("exactly one of --gens, --gens-file, --equations is required")
@@ -113,7 +118,7 @@ def _semigroup_from_args(args, *, max_steps=None) -> tuple[AffineSemigroup, "_ta
     data = _load_json(args.equations)
     if "matrix" not in data or "moduli" not in data:
         raise _UsageError(f"{args.equations}: need keys 'matrix' and 'moduli'")
-    witness = _tame.full_semigroup(data["matrix"], data["moduli"], max_steps=max_steps)
+    witness = _tame.full_semigroup(data["matrix"], data["moduli"])
     return witness.semigroup, witness
 
 
@@ -191,7 +196,7 @@ def _run_command(args) -> str:
     if args.command == "block-monoid":
         moduli = [int(tok) for tok in args.moduli.replace(",", " ").split()]
         subset = [_parse_vector(p) for p in args.subset.split(";")] if args.subset else None
-        witness = _tame.block_monoid(moduli, subset, max_steps=args.max_steps)
+        witness = _tame.block_monoid(moduli, subset)
         atoms = witness.semigroup.generators
         payload = {"atoms": [list(a) for a in atoms], "moduli": moduli}
         lines = [_format_vector(a, False) for a in atoms]
@@ -206,13 +211,13 @@ def _run_command(args) -> str:
             data["matrix"], relation, data.get("rhs"), data.get("moduli")
         )
         if system.homogeneous:
-            vectors = hilbert_basis(system, max_steps=args.max_steps)
+            vectors = hilbert_basis(system)
         else:
-            vectors = minimal_solutions(system, max_steps=args.max_steps)
+            vectors = minimal_solutions(system)
         payload = {"solutions": [list(v) for v in vectors]}
         return _emit(args, payload, [_format_vector(v, False) for v in vectors])
 
-    S, witness = _semigroup_from_args(args, max_steps=args.max_steps)
+    S, witness = _semigroup_from_args(args)
     scalar = S.dim == 1
 
     if args.command == "factorizations":
@@ -237,23 +242,23 @@ def _run_command(args) -> str:
 
     if args.command == "delta-set":
         fn = _delta.delta_set_hilbert if args.method == "hilbert" else _delta.delta_set_grobner
-        values = fn(S, max_steps=args.max_steps)
+        values = fn(S)
         payload = {"delta_set": list(values)}
         return _emit(args, payload, [" ".join(str(v) for v in values)])
 
     if args.command == "min-presentation":
-        relations = _presentation.minimal_presentation(S, max_steps=args.max_steps)
+        relations = _presentation.minimal_presentation(S)
         payload = {"relations": [[list(z), list(w)] for z, w in relations]}
         lines = [f"{_format_vector(z, False)} {_format_vector(w, False)}" for z, w in relations]
         return _emit(args, payload, lines)
 
     if args.command == "betti":
-        values = _presentation.betti_elements(S, max_steps=args.max_steps)
+        values = _presentation.betti_elements(S)
         payload = {"betti_elements": [_scalarize(S, v) for v in values]}
         return _emit(args, payload, [_format_vector(v, scalar) for v in values])
 
     if args.command == "graver":
-        pairs = graver_basis(S, max_steps=args.max_steps)
+        pairs = graver_basis(S)
         payload = {"pairs": [[list(z), list(w)] for z, w in pairs]}
         lines = [f"{_format_vector(z, False)} {_format_vector(w, False)}" for z, w in pairs]
         return _emit(args, payload, lines)
@@ -276,7 +281,7 @@ def _run_command(args) -> str:
         if witness is None:
             raise NotFullError("tame degree requires an --equations semigroup (full)")
         if args.atom_index is not None:
-            value = _tame.tame_i_full(witness, args.atom_index, max_steps=args.max_steps)
+            value = _tame.tame_i_full(witness, args.atom_index)
         else:
             indices = None
             if args.restrict_atoms:
@@ -284,7 +289,7 @@ def _run_command(args) -> str:
                     indices = [int(tok) for tok in args.restrict_atoms.replace(",", " ").split()]
                 except ValueError:
                     raise _UsageError("--restrict-atoms takes integer indices") from None
-            value = _tame.tame_full(witness, atom_indices=indices, max_steps=args.max_steps)
+            value = _tame.tame_full(witness, atom_indices=indices)
         payload = {"tame": value}
         return _emit(args, payload, [str(value)])
 
@@ -299,7 +304,8 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        output = _run_command(args)
+        with step_limit(args.max_steps):
+            output = _run_command(args)
     except _UsageError as exc:
         print(f"sgfact: error: {exc}", file=sys.stderr)
         return EXIT_USAGE, ""

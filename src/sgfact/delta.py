@@ -41,7 +41,7 @@ def homogenize(S: AffineSemigroup) -> AffineSemigroup:
     return affine_semigroup(gens)
 
 
-def _gap_buckets(S: AffineSemigroup, *, max_steps=None) -> dict[int, list]:
+def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:
     """Generators of the chain ideals, bucketed by length gap.
 
     These are the nontrivial minimal solutions (z, w, s) of the doubled slack
@@ -57,7 +57,7 @@ def _gap_buckets(S: AffineSemigroup, *, max_steps=None) -> dict[int, list]:
     slack_matrix = [row + (0,) for row in S.matrix]
     slack_matrix.append((1,) * k + (-1,))
     buckets: dict[int, list] = {}
-    for x in primitive_kernel_vectors(slack_matrix, max_steps=max_steps):
+    for x in primitive_kernel_vectors(slack_matrix):
         v = x[:k] if x[k] >= 0 else tuple(-c for c in x[:k])
         plus = tuple(c if c > 0 else 0 for c in v)
         minus = tuple(-c if c < 0 else 0 for c in v)
@@ -65,7 +65,7 @@ def _gap_buckets(S: AffineSemigroup, *, max_steps=None) -> dict[int, list]:
     return buckets
 
 
-def delta_set_hilbert(S: AffineSemigroup, *, max_steps: int | None = None) -> tuple[int, ...]:
+def delta_set_hilbert(S: AffineSemigroup) -> tuple[int, ...]:
     """The delta set, by the ascending-chain route.
 
     Seed with the element-level delta sets at the Betti values (these pin the
@@ -74,7 +74,7 @@ def delta_set_hilbert(S: AffineSemigroup, *, max_steps: int | None = None) -> tu
     normal form against the current basis.  Half-factorial input (empty seed)
     short-circuits to the empty set.
     """
-    presentation = minimal_presentation(S, max_steps=max_steps)
+    presentation = minimal_presentation(S)
     seed: set[int] = set()
     for z, _ in presentation:
         seed.update(delta_of_element(S, value_of(S, z)))
@@ -87,20 +87,18 @@ def delta_set_hilbert(S: AffineSemigroup, *, max_steps: int | None = None) -> tu
     # the gcd itself is the minimum of the delta set even when no Betti value
     # exhibits it directly
     found = set(seed) | {step}
-    buckets = _gap_buckets(S, max_steps=max_steps)
+    buckets = _gap_buckets(S)
     order = TermOrder.grlex(len(S.generators))
-    basis = buchberger(
-        buckets.get(0, []) + buckets.get(step, []), order, max_steps=max_steps
-    )
+    basis = buchberger(buckets.get(0, []) + buckets.get(step, []), order)
     for j in range(2 * step, top - step + 1, step):
         gens = buckets.get(j, [])
         if any(not normal_form(b, basis).is_zero for b in gens):
             found.add(j)
-            basis = buchberger_extend(basis, gens, max_steps=max_steps)
+            basis = buchberger_extend(basis, gens)
     return tuple(sorted(found))
 
 
-def delta_set_grobner(S: AffineSemigroup, *, max_steps: int | None = None) -> tuple[int, ...]:
+def delta_set_grobner(S: AffineSemigroup) -> tuple[int, ...]:
     """The delta set, by the homogenization route.
 
     Take the toric ideal of the homogenized semigroup, complete its binomials
@@ -109,11 +107,11 @@ def delta_set_grobner(S: AffineSemigroup, *, max_steps: int | None = None) -> tu
     lex basis does not depend on the generators it starts from.
     """
     hom = homogenize(S)
-    ideal = toric_ideal(hom, max_steps=max_steps)
+    ideal = toric_ideal(hom)
     nvars = len(hom.generators)
     order = TermOrder.lex(nvars)  # variable 0 is the homogenizing generator
     gens = [binomial(b.plus, b.minus, order) for b in ideal.binomials]
-    basis = reduce_basis(buchberger(gens, order, max_steps=max_steps))
+    basis = reduce_basis(buchberger(gens, order))
     out = set()
     for b in basis.binomials:
         j = b.plus[0]

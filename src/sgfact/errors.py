@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the step limit that raises one."""
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class SgfactError(Exception):
@@ -31,3 +34,19 @@ class ResourceLimitError(SgfactError, RuntimeError):
     def __init__(self, steps: int):
         super().__init__(f"step budget of {steps} exceeded")
         self.steps = steps
+
+
+_step_limit = ContextVar("step_limit", default=None)
+
+
+@contextmanager
+def step_limit(n: int | None):
+    """Make each completion loop in the block raise :class:`ResourceLimitError`
+    after ``n`` steps of its own (``None``: no limit), like ``decimal.localcontext``."""
+    if n is not None and n < 0:
+        raise ConstructionError(f"step limit must be nonnegative, got {n}")
+    token = _step_limit.set(n)
+    try:
+        yield
+    finally:
+        _step_limit.reset(token)

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import AffineSemigroup, Vector, vadd, vsub
-from .errors import ConstructionError, ResourceLimitError
+from .errors import ConstructionError, ResourceLimitError, _step_limit
 from .hilbert import integer_kernel_basis
 
 
@@ -264,48 +264,36 @@ def spair(f: Binomial, g: Binomial, order: TermOrder) -> Binomial:
     return binomial(left, right, order)
 
 
-def buchberger(
-    gens: Iterable[Binomial],
-    order: TermOrder,
-    *,
-    max_steps: int | None = None,
-) -> BinomialIdealBasis:
+def buchberger(gens: Iterable[Binomial], order: TermOrder) -> BinomialIdealBasis:
     """A Groebner basis of the ideal generated by pure-difference binomials.
 
     Normal selection strategy (smallest lcm first, FIFO ties).  Each new
     member is installed by the update of Gebauer-Moeller ("On an installation
     of Buchberger's algorithm", JSC 6, 1988): the chain criterion drops
     pending pairs, and criteria M and F and the coprime-leading-term
-    criterion drop the new member's own pairs.  ``max_steps`` bounds the
-    number of pairs taken off the queue, which counts only pairs that survive
-    the criteria.  Every S-pair remainder is a binomial, so the loop never
-    leaves the two-term representation.
+    criterion drop the new member's own pairs.  Under
+    :func:`~sgfact.errors.step_limit` every pair taken off the queue is one
+    step, which counts only pairs that survive the criteria.  Every S-pair
+    remainder is a binomial, so the loop never leaves the two-term
+    representation.
     """
-    return _buchberger_extend([], gens, order, max_steps=max_steps)
+    return _buchberger_extend([], gens, order)
 
 
-def buchberger_extend(
-    G: BinomialIdealBasis,
-    new_gens: Iterable[Binomial],
-    *,
-    max_steps: int | None = None,
-) -> BinomialIdealBasis:
+def buchberger_extend(G: BinomialIdealBasis, new_gens: Iterable[Binomial]) -> BinomialIdealBasis:
     """Extend an existing Groebner basis with extra generators.
 
     The members of G form a settled prefix: pairs inside it are never formed,
     and only pairs with a new member enter the queue, under the criteria and
     the step count of ``buchberger``.
     """
-    return _buchberger_extend(list(G.binomials), new_gens, G.order, max_steps=max_steps)
+    return _buchberger_extend(list(G.binomials), new_gens, G.order)
 
 
 def _buchberger_extend(
-    prefix: list[Binomial],
-    gens: Iterable[Binomial],
-    order: TermOrder,
-    *,
-    max_steps: int | None = None,
+    prefix: list[Binomial], gens: Iterable[Binomial], order: TermOrder
 ) -> BinomialIdealBasis:
+    limit = _step_limit.get()
     index = _LeadIndex(order, prefix)
     basis = index.members
     counter = itertools.count()
@@ -367,8 +355,8 @@ def _buchberger_extend(
         if pair is None:
             continue
         steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(max_steps)
+        if limit is not None and steps > limit:
+            raise ResourceLimitError(limit)
         i, j, _ = pair
         s = spair(basis[i], basis[j], order)
         if s.is_zero:
@@ -397,22 +385,17 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
             index.add(b)
     minimal = index.members
     # no other leading term divides a member's own, so reducing it against the
-    # others rewrites only its trailing term and its row stays valid
+    # others rewrites only its trailing term and its row stays valid.  The
+    # input is a Groebner basis, so each normal form is the canonical one and
+    # a single pass leaves every member reduced
     view = _view(index)
-    changed = True
-    while changed:
-        changed = False
-        for i, b in enumerate(minimal):
-            r = normal_form(b, view, _skip=i)
-            if r != b:
-                minimal[i] = r
-                view = _view(index)
-                changed = True
+    for i, b in enumerate(minimal):
+        minimal[i] = normal_form(b, view, _skip=i)
     minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
     return BinomialIdealBasis(tuple(minimal), order, reduced=True)
 
 
-def toric_ideal(S: AffineSemigroup, *, max_steps: int | None = None) -> BinomialIdealBasis:
+def toric_ideal(S: AffineSemigroup) -> BinomialIdealBasis:
     """The reduced graded-lex Groebner basis of the defining ideal of the semigroup.
 
     Lattice saturation (Sturmfels, *Groebner Bases and Convex Polytopes*,
@@ -432,11 +415,11 @@ def toric_ideal(S: AffineSemigroup, *, max_steps: int | None = None) -> Binomial
     ]
     for i in range(k):
         order = TermOrder.revlex(weights, i)
-        basis = buchberger((binomial(a, b, order) for a, b in pairs), order, max_steps=max_steps)
+        basis = buchberger((binomial(a, b, order) for a, b in pairs), order)
         pairs = []
         for b in reduce_basis(basis).binomials:
             common = tuple(min(b.plus[i], b.minus[i]) if j == i else 0 for j in range(k))
             pairs.append((vsub(b.plus, common), vsub(b.minus, common)))
     order = TermOrder.grlex(k)
-    basis = buchberger((binomial(a, b, order) for a, b in pairs), order, max_steps=max_steps)
+    basis = buchberger((binomial(a, b, order) for a, b in pairs), order)
     return reduce_basis(basis)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import AffineSemigroup, Vector, as_vector
-from .errors import ConstructionError, ResourceLimitError
+from .errors import ConstructionError, ResourceLimitError, _step_limit
 
 _INT_GUARD = 1 << 41
 
@@ -120,7 +120,7 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
 
 def _guard(arr: np.ndarray) -> np.ndarray:
     if arr.size and np.abs(arr).max() >= _INT_GUARD:
-        raise OverflowError("intermediate integer outside the guarded range")
+        raise ConstructionError("integer of magnitude 2**41 or more in a Diophantine search")
     return arr
 
 
@@ -168,17 +168,17 @@ class _KernelStore:
         return s
 
 
-def primitive_kernel_vectors(
-    matrix: Sequence[Sequence[int]], *, max_steps: int | None = None
-) -> tuple[Vector, ...]:
+def primitive_kernel_vectors(matrix: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """All conformally minimal nonzero kernel vectors of the matrix, one per sign pair.
 
     This is the Graver basis of the matrix.  Completion: start from a lattice
     basis, keep normal forms of pairwise sums under sign-compatible reduction,
     and finally discard anything still reducible by another survivor.  Sums of
     sign-compatible pairs reduce trivially and are never enqueued; duplicate
-    sums are processed once.
+    sums are processed once.  Under :func:`~sgfact.errors.step_limit` every
+    vector taken off the queue is one step.
     """
+    limit = _step_limit.get()
     basis = integer_kernel_basis(matrix)
     if not basis:
         return ()
@@ -225,8 +225,8 @@ def primitive_kernel_vectors(
     while queue:
         _, _, s = heapq.heappop(queue)
         steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(max_steps)
+        if limit is not None and steps > limit:
+            raise ResourceLimitError(limit)
         red = store.reduce(s)
         if any(red):
             admit(red)
@@ -276,7 +276,6 @@ def _minimal_nonneg_solutions(
     geq: tuple[np.ndarray, np.ndarray] | None,
     *,
     caps: np.ndarray | None = None,
-    max_steps: int | None = None,
 ) -> list[Vector]:
     """Minimal x >= 0 with A_eq x = b_eq and A_geq x >= b_geq.
 
@@ -291,6 +290,7 @@ def _minimal_nonneg_solutions(
     solutions that would fence the search in are not solutions of the
     inhomogeneous system).
     """
+    limit = _step_limit.get()
     a_eq, b_eq = eq if eq is not None else (np.zeros((0, ncols), np.int64), np.zeros(0, np.int64))
     a_geq, b_geq = (
         geq if geq is not None else (np.zeros((0, ncols), np.int64), np.zeros(0, np.int64))
@@ -331,8 +331,8 @@ def _minimal_nonneg_solutions(
                 children.append(block)
         frontier = np.vstack(children) if children else np.zeros((0, ncols), np.int64)
         steps += len(frontier)
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(max_steps)
+        if limit is not None and steps > limit:
+            raise ResourceLimitError(limit)
     return sorted(found)
 
 
@@ -370,14 +370,15 @@ def _minimalize(vectors: Iterable[Vector]) -> list[Vector]:
     return sorted(kept)
 
 
-def hilbert_basis(sys: DiophantineSystem, *, max_steps: int | None = None) -> tuple[Vector, ...]:
+def hilbert_basis(sys: DiophantineSystem) -> tuple[Vector, ...]:
     """The minimal generating set of {x in N^n : rows hold}, for homogeneous systems.
 
     Congruence rows are rewritten with auxiliary multiplier columns which are
     projected away afterwards (re-minimalizing, since projection can break
     minimality).  Homogeneous GEQ systems are rejected: their solution sets
     are cones whose generators need not be componentwise-minimal, which is a
-    different computation.
+    different computation.  Under :func:`~sgfact.errors.step_limit` every
+    frontier row the search generates is one step.
     """
     if not sys.homogeneous:
         raise ConstructionError("hilbert_basis requires a homogeneous system")
@@ -389,7 +390,6 @@ def hilbert_basis(sys: DiophantineSystem, *, max_steps: int | None = None) -> tu
         n,
         eq=(_np_matrix([tuple(r) for r in rows]), np.zeros(len(rows), np.int64)),
         geq=None,
-        max_steps=max_steps,
     )
     if not naux:
         return tuple(solutions)
@@ -397,7 +397,7 @@ def hilbert_basis(sys: DiophantineSystem, *, max_steps: int | None = None) -> tu
     return tuple(_minimalize(projected))
 
 
-def minimal_solutions(sys: DiophantineSystem, *, max_steps: int | None = None) -> tuple[Vector, ...]:
+def minimal_solutions(sys: DiophantineSystem) -> tuple[Vector, ...]:
     """Componentwise-minimal nonnegative solutions of an inhomogeneous system.
 
     Equality systems are homogenized with one extra column carrying -rhs whose
@@ -423,18 +423,15 @@ def minimal_solutions(sys: DiophantineSystem, *, max_steps: int | None = None) -
             eq=(extended, np.zeros(len(sys.matrix), np.int64)),
             geq=None,
             caps=caps,
-            max_steps=max_steps,
         )
         return tuple(sorted(v[:-1] for v in pinned if v[-1] == 1))
     if any(c < 0 for row in sys.matrix for c in row):
         raise ConstructionError("GEQ systems require nonnegative matrix entries")
-    sols = _minimal_nonneg_solutions(sys.ncols, eq=None, geq=(mat, b), max_steps=max_steps)
+    sols = _minimal_nonneg_solutions(sys.ncols, eq=None, geq=(mat, b))
     return tuple(sols)
 
 
-def graver_basis(
-    S: AffineSemigroup, *, max_steps: int | None = None
-) -> tuple[tuple[Vector, Vector], ...]:
+def graver_basis(S: AffineSemigroup) -> tuple[tuple[Vector, Vector], ...]:
     """All primitive pairs (z, w) of distinct factorization vectors with equal value.
 
     Pairs have disjoint supports, carry one orientation each (lexicographically
@@ -442,7 +439,7 @@ def graver_basis(
     Hilbert basis of the doubled system (A | -A).
     """
     pairs = []
-    for v in primitive_kernel_vectors(S.matrix, max_steps=max_steps):
+    for v in primitive_kernel_vectors(S.matrix):
         plus = tuple(c if c > 0 else 0 for c in v)
         minus = tuple(-c if c < 0 else 0 for c in v)
         pairs.append((plus, minus) if plus > minus else (minus, plus))

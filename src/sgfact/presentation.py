@@ -14,12 +14,12 @@ from math import gcd
 from .core import AffineSemigroup, Vector, delta_of_element, factorizations, value_of
 from .grobner import toric_ideal
 
-Relation = tuple[Vector, Vector]
+Pair = tuple[Vector, Vector]
 
 
-def _betti_candidates(S: AffineSemigroup, *, max_steps: int | None = None) -> list[Vector]:
+def _betti_candidates(S: AffineSemigroup) -> list[Vector]:
     # every homogeneous binomial generating set has a member at each Betti value
-    ideal = toric_ideal(S, max_steps=max_steps)
+    ideal = toric_ideal(S)
     return sorted({value_of(S, b.plus) for b in ideal.binomials})
 
 
@@ -48,9 +48,7 @@ def _support_components(fiber: tuple[Vector, ...]) -> list[list[Vector]]:
     return sorted(groups.values(), key=lambda g: min(g))
 
 
-def minimal_presentation(
-    S: AffineSemigroup, *, max_steps: int | None = None
-) -> tuple[Relation, ...]:
+def minimal_presentation(S: AffineSemigroup) -> tuple[Pair, ...]:
     """An irredundant generating set of the kernel congruence of the semigroup.
 
     Presentations are not unique; this one is canonical: at every Betti value
@@ -58,8 +56,8 @@ def minimal_presentation(
     to the least member of each other support component.  Pairs are oriented
     larger-side-first and sorted.
     """
-    relations: list[Relation] = []
-    for value in _betti_candidates(S, max_steps=max_steps):
+    relations: list[Pair] = []
+    for value in _betti_candidates(S):
         fiber = factorizations(S, value)
         if len(fiber) <= 1:
             continue
@@ -73,14 +71,12 @@ def minimal_presentation(
     return tuple(sorted(relations))
 
 
-def betti_elements(S: AffineSemigroup, *, max_steps: int | None = None) -> tuple[Vector, ...]:
+def betti_elements(S: AffineSemigroup) -> tuple[Vector, ...]:
     """Values of the relations in a minimal presentation (independent of the choice)."""
-    return tuple(sorted({value_of(S, z) for z, _ in minimal_presentation(S, max_steps=max_steps)}))
+    return tuple(sorted({value_of(S, z) for z, _ in minimal_presentation(S)}))
 
 
-def delta_bounds(
-    S: AffineSemigroup, *, max_steps: int | None = None
-) -> tuple[int, int] | None:
+def delta_bounds(S: AffineSemigroup) -> tuple[int, int] | None:
     """(min, max) of the semigroup's delta set, or None when that set is empty.
 
     The minimum is the gcd of the relation length gaps; the maximum is the
@@ -88,7 +84,7 @@ def delta_bounds(
     delta set is empty are skipped in the maximum; zero length gaps are
     ignored in the gcd unless all gaps vanish (half-factorial case).
     """
-    relations = minimal_presentation(S, max_steps=max_steps)
+    relations = minimal_presentation(S)
     gaps = [abs(sum(z) - sum(w)) for z, w in relations]
     nonzero = [g for g in gaps if g]
     if not nonzero:

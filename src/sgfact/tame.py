@@ -48,15 +48,11 @@ class FullSemigroupWitness:
         return all(c >= 0 for c in gamma) and self.system.satisfied_by(gamma)
 
 
-def full_semigroup(
-    matrix, moduli, *, max_steps: int | None = None
-) -> FullSemigroupWitness:
+def full_semigroup(matrix, moduli) -> FullSemigroupWitness:
     """The full semigroup {x in N^n : Bx = 0 (mod moduli)}, atoms via Hilbert basis."""
     rows = tuple(as_vector(r) for r in matrix)
     mods = tuple(int(m) for m in moduli)
-    atoms = hilbert_basis(
-        diophantine_system(rows, Relation.EQ, moduli=mods), max_steps=max_steps
-    )
+    atoms = hilbert_basis(diophantine_system(rows, Relation.EQ, moduli=mods))
     if not atoms:
         raise ConstructionError("the congruence system admits only the zero solution")
     S = affine_semigroup(atoms, equations=CongruenceSystem(rows, mods))
@@ -65,9 +61,7 @@ def full_semigroup(
     return FullSemigroupWitness(S)
 
 
-def block_monoid(
-    moduli, subset=None, *, max_steps: int | None = None
-) -> FullSemigroupWitness:
+def block_monoid(moduli, subset=None) -> FullSemigroupWitness:
     """Zero-sum sequences over a subset of Z_m1 x ... x Z_mr, as a full semigroup.
 
     ``subset`` defaults to every nonzero group element (sorted); it may not
@@ -91,7 +85,7 @@ def block_monoid(
                 raise ConstructionError(f"group element {g} out of range")
     # one congruence row per group coordinate; columns are the chosen elements
     rows = [tuple(g[i] for g in elements) for i in range(len(mods))]
-    return full_semigroup(rows, mods, max_steps=max_steps)
+    return full_semigroup(rows, mods)
 
 
 def _require_full(F: FullSemigroupWitness) -> AffineSemigroup:
@@ -100,9 +94,7 @@ def _require_full(F: FullSemigroupWitness) -> AffineSemigroup:
     return F.semigroup
 
 
-def minimals_principal_ideal(
-    F: FullSemigroupWitness, gamma, *, max_steps: int | None = None
-) -> tuple[Vector, ...]:
+def minimals_principal_ideal(F: FullSemigroupWitness, gamma) -> tuple[Vector, ...]:
     """Minimal factorization vectors of the shifted ideal gamma + S.
 
     For a full semigroup these are exactly the minimal x with A x >= gamma
@@ -114,12 +106,10 @@ def minimals_principal_ideal(
         raise NotInSemigroupError(f"{gamma} is not in the semigroup")
     if not any(g):
         return ((0,) * len(S.generators),)
-    return minimal_solutions(
-        diophantine_system(S.matrix, Relation.GEQ, rhs=g), max_steps=max_steps
-    )
+    return minimal_solutions(diophantine_system(S.matrix, Relation.GEQ, rhs=g))
 
 
-def tame_i_full(F: FullSemigroupWitness, atom_index: int, *, max_steps: int | None = None) -> int:
+def tame_i_full(F: FullSemigroupWitness, atom_index: int) -> int:
     """Tame degree of a full semigroup with respect to one atom (0-based index).
 
     Minimal shifted-ideal factorizations avoiding the atom pair off against
@@ -132,11 +122,7 @@ def tame_i_full(F: FullSemigroupWitness, atom_index: int, *, max_steps: int | No
     if not 0 <= atom_index < k:
         raise ConstructionError(f"atom index {atom_index} out of range")
     atom = S.generators[atom_index]
-    candidates = [
-        z
-        for z in minimals_principal_ideal(F, atom, max_steps=max_steps)
-        if z[atom_index] == 0
-    ]
+    candidates = [z for z in minimals_principal_ideal(F, atom) if z[atom_index] == 0]
     if not candidates:
         return 0
     best = 0
@@ -156,12 +142,7 @@ def tame_i_full(F: FullSemigroupWitness, atom_index: int, *, max_steps: int | No
     return best
 
 
-def tame_full(
-    F: FullSemigroupWitness,
-    *,
-    atom_indices=None,
-    max_steps: int | None = None,
-) -> int:
+def tame_full(F: FullSemigroupWitness, *, atom_indices=None) -> int:
     """Tame degree of a full semigroup: the largest per-atom tame degree.
 
     ``atom_indices`` optionally restricts the computation to those atoms; the
@@ -169,27 +150,5 @@ def tame_full(
     """
     S = _require_full(F)
     indices = range(len(S.generators)) if atom_indices is None else atom_indices
-    return max((tame_i_full(F, i, max_steps=max_steps) for i in indices), default=0)
+    return max((tame_i_full(F, i) for i in indices), default=0)
 
-
-def tame_of_element(F: FullSemigroupWitness, gamma) -> int:
-    """Element-level tame degree, straight from the definition.
-
-    For every factorization and every atom dividing the element, find the
-    closest factorization through that atom; the worst case over both is the
-    answer.  Exhaustive, meant for small fibers and cross-checks.
-    """
-    S = _require_full(F)
-    g = as_vector(gamma, S.dim)
-    fiber = factorizations(S, g)
-    if not fiber:
-        raise NotInSemigroupError(f"{gamma} is not in the semigroup")
-    worst = 0
-    for atom_index, atom in enumerate(S.generators):
-        shifted = tuple(c - a for c, a in zip(g, atom))
-        if any(c < 0 for c in shifted) or not F.member(shifted):
-            continue
-        through = [w for w in fiber if w[atom_index] > 0]
-        for z in fiber:
-            worst = max(worst, min(dist(z, w) for w in through))
-    return worst

@@ -93,6 +93,27 @@ def random_affine_semigroup(rng: random.Random, d=2, k_max=4, entry_max=8) -> Af
             return affine_semigroup(gens)
 
 
+def tame_of_element(gens, gamma):
+    """Element-level tame degree, straight from the definition.
+
+    An atom divides gamma exactly when some factorization uses it; for each
+    such atom and each factorization z, take the distance from z to the
+    closest factorization through the atom.  The worst case is the answer.
+    """
+    fiber = brute_factorizations(gens, gamma)
+    worst = 0
+    for i in range(len(gens)):
+        through = [w for w in fiber if w[i] > 0]
+        if through:
+            for z in fiber:
+                worst = max(worst, min(_distance(z, w) for w in through))
+    return worst
+
+
+def _distance(z, w):
+    common = [min(a, b) for a, b in zip(z, w)]
+    return max(sum(z) - sum(common), sum(w) - sum(common))
+
 
 def reference_groebner(gens, order):
     """The reduced Groebner basis of a binomial ideal, by the plain Buchberger loop.

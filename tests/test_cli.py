@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sgfact.cli import run
@@ -25,6 +27,12 @@ class TestSuccess:
         assert run(argv) == (0, "2 4 6\n")
         assert run(argv + ["--format", "json"]) == (0, '{"delta_set":[2,4,6]}\n')
 
+    def test_tame_block_monoid_c3(self, tmp_path):
+        # zero-sum sequences over Z_3 \ {0}: one congruence row (1, 2) mod 3
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps({"matrix": [[1, 2]], "moduli": [3]}))
+        assert run(["tame", "--equations", str(path)]) == (0, "3\n")
+
 
 @pytest.mark.parametrize(
     "argv, code",
@@ -38,8 +46,16 @@ class TestSuccess:
         (["min-presentation", "--gens", WIDE, "--max-steps", "1"], 4),
         # and the criteria-filtered saturation of the homogenized semigroup
         (["delta-set", "--gens", "17 33 53 71", "--method", "grobner", "--max-steps", "20"], 4),
+        # and the Graver completion behind the dynamic catenary degree
+        (["catenary", "--gens", "17 33 53 71", "--element", "200", "--max-steps", "0"], 4),
+        # appended last, so the ids of the rows above do not shift
+        (["hilbert", "--system", "{tmp}/big.json"], 2),
+        (["delta-set", "--gens", "3 4 5", "--max-steps", "-5"], 2),
     ],
 )
-def test_error_exit_codes(argv, code, capsys):
+def test_error_exit_codes(argv, code, capsys, tmp_path):
+    # a coefficient of 2**41 leaves the range the Diophantine search guards
+    (tmp_path / "big.json").write_text(json.dumps({"matrix": [[2**41, -1]]}))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run(argv) == (code, "")
     assert capsys.readouterr().err.startswith("sgfact: error: ")

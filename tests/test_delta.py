@@ -16,15 +16,13 @@ from sgfact.presentation import delta_bounds
 from oracles import random_affine_semigroup, random_numerical_semigroup
 
 
-def _chain_state(
-    S, *, max_steps: int | None = None
-) -> tuple[tuple[int, ...], BinomialIdealBasis, dict[int, list]]:
+def _chain_state(S) -> tuple[tuple[int, ...], BinomialIdealBasis, dict[int, list]]:
     """Delta set plus the final chain basis and gap buckets (for invariant checks)."""
-    result = delta_set_hilbert(S, max_steps=max_steps)
-    buckets = _gap_buckets(S, max_steps=max_steps)
+    result = delta_set_hilbert(S)
+    buckets = _gap_buckets(S)
     order = TermOrder.grlex(len(S.generators))
     gens = [b for j in result for b in buckets.get(j, [])] + buckets.get(0, [])
-    basis = buchberger(gens, order, max_steps=max_steps)
+    basis = buchberger(gens, order)
     return result, basis, buckets
 
 

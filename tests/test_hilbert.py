@@ -13,6 +13,7 @@ from sgfact import (
     integer_kernel_basis,
     minimal_solutions,
     primitive_kernel_vectors,
+    step_limit,
 )
 
 from oracles import brute_solutions, decomposes_over, minimal_elements
@@ -92,8 +93,12 @@ class TestHilbertBasis:
             hilbert_basis(diophantine_system([(1, -1)], Relation.GEQ))
 
     def test_budget_aborts(self):
-        with pytest.raises(ResourceLimitError):
-            hilbert_basis(diophantine_system([(17, 33, -53, -71)]), max_steps=3)
+        with pytest.raises(ResourceLimitError), step_limit(3):
+            hilbert_basis(diophantine_system([(17, 33, -53, -71)]))
+
+    def test_guarded_range(self):
+        with pytest.raises(ConstructionError):
+            hilbert_basis(diophantine_system([(2**41, -1)]))
 
 
 class TestMinimalSolutions:
