@@ -17,6 +17,7 @@ where fullness is required), 4 step budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -152,6 +153,7 @@ def _add_common(parser: _Parser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sgfact", description="factorization invariants of affine semigroups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,7 +196,10 @@ def _build_parser() -> _Parser:
 
 def _run_command(args) -> str:
     if args.command == "block-monoid":
-        moduli = [int(tok) for tok in args.moduli.replace(",", " ").split()]
+        try:
+            moduli = [int(tok) for tok in args.moduli.replace(",", " ").split()]
+        except ValueError:
+            raise _UsageError(f"malformed moduli {args.moduli!r}") from None
         subset = [_parse_vector(p) for p in args.subset.split(";")] if args.subset else None
         witness = _tame.block_monoid(moduli, subset)
         atoms = witness.semigroup.generators
@@ -206,7 +211,10 @@ def _run_command(args) -> str:
         data = _load_json(args.system)
         if "matrix" not in data:
             raise _UsageError(f"{args.system}: need key 'matrix'")
-        relation = Relation(data.get("relation", "eq"))
+        try:
+            relation = Relation(data.get("relation", "eq"))
+        except ValueError:
+            raise _UsageError(f"{args.system}: 'relation' must be 'eq' or 'geq'") from None
         system = diophantine_system(
             data["matrix"], relation, data.get("rhs"), data.get("moduli")
         )
@@ -223,7 +231,7 @@ def _run_command(args) -> str:
     if args.command == "factorizations":
         element = _parse_vector(args.element)
         facts = factorizations(S, element)
-        if not facts and not contains(S, element):
+        if not facts:
             raise NotInSemigroupError(f"{args.element} is not in the semigroup")
         payload = {"element": _scalarize(S, element), "factorizations": [list(z) for z in facts]}
         return _emit(args, payload, [_format_vector(z, False) for z in facts])

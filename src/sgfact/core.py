@@ -3,10 +3,18 @@
 Vectors are plain tuples of Python ints, so every computation is exact.  A
 semigroup is immutable once built and all operations are pure functions, safe
 to call concurrently on shared objects.
+
+One depth-first search over the atoms, heavy ones first, answers every element
+query in any dimension: it enumerates the factorizations for
+:func:`factorizations` and stops at the first for :func:`contains` and for the
+atom minimalization of :func:`affine_semigroup`.  A nonzero residue lighter
+(by coordinate sum) than the lightest atom ends its branch.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -21,12 +29,13 @@ _INT_LIMIT = 1 << 62
 def as_vector(value: int | Sequence[int], dim: int | None = None) -> Vector:
     """Normalize an int or sequence into a coordinate tuple of the given dimension.
 
-    A coordinate of magnitude 2**62 or more raises :class:`ConstructionError`.
+    A coordinate that is not an integer (a float or a string, say), or whose
+    magnitude is 2**62 or more, raises :class:`ConstructionError`.
     """
-    if isinstance(value, int):
-        vec: Vector = (value,)
-    else:
-        vec = tuple(int(c) for c in value)
+    try:
+        vec: Vector = (value,) if isinstance(value, int) else tuple(map(operator.index, value))
+    except TypeError:
+        raise ConstructionError(f"expected integer coordinates, got {value!r}") from None
     if dim is not None and len(vec) != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {len(vec)}")
     for c in vec:
@@ -125,7 +134,8 @@ def affine_semigroup(
         if not any(v):
             raise ConstructionError("the zero vector cannot be a generator")
     vecs = sorted(set(vecs))
-    atoms = tuple(v for v in vecs if not _is_decomposable(v, vecs))
+    plan = _dfs_plan(vecs)
+    atoms = tuple(v for v in vecs if not _is_decomposable(v, vecs, plan))
     if equations is not None:
         if len(equations.moduli) != len(equations.matrix):
             raise ConstructionError("one modulus per congruence row required")
@@ -139,23 +149,13 @@ def affine_semigroup(
     return AffineSemigroup(dim, atoms, equations)
 
 
-def _is_decomposable(target: Vector, gens: list[Vector]) -> bool:
+def _is_decomposable(target: Vector, gens: list[Vector], plan: tuple) -> bool:
     # target is a non-atom of <gens> iff it has a factorization of length >= 2,
     # i.e. target - g is a nonzero member for some generator g.  This test over
     # the full list is order-independent, so one pass minimalizes the input.
-    if len(target) == 1:
-        top = target[0]
-        member = [False] * (top + 1)
-        member[0] = True
-        values = sorted({g[0] for g in gens if g[0] <= top})
-        for n in range(1, top + 1):
-            member[n] = any(v <= n and member[n - v] for v in values)
-        return any(member[top - v] and top != v for v in values if v <= top)
     for g in gens:
         rest = vsub(target, g)
-        if any(c < 0 for c in rest) or not any(rest):
-            continue
-        if _dfs_contains(gens, rest):
+        if any(rest) and _search(plan, rest, first=True):
             return True
     return False
 
@@ -169,13 +169,16 @@ def _coordinate_bound(atom: Vector, gamma: Vector) -> int:
     return bound if bound is not None else 0
 
 
-def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[Vector]]:
-    """Search order and per-suffix row gcds for the factorization DFS.
+def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[Vector], list[int]]:
+    """Search order, per-suffix row gcds and negated weights for the factorization DFS.
 
-    Heavy atoms first: an atom with small support (zero rows) explored early
-    has a huge branching factor, whereas explored last its multiplicity is
-    forced.  The suffix gcds prune branches where a residue can no longer be
-    matched by the remaining atoms.
+    Heavy atoms (by coordinate sum, the weight) first: an atom with small
+    support (zero rows) explored early has a huge branching factor, whereas
+    explored last its multiplicity is forced.  The suffix gcds prune branches
+    where a residue can no longer be matched by the remaining atoms.  The
+    negated weights ascend, so one bisection skips the atoms heavier than a
+    residue; the lightest atom comes last, so a nonzero residue lighter than
+    it skips them all and its branch ends at any depth.
     """
     order = sorted(range(len(atoms)), key=lambda j: (-sum(atoms[j]), atoms[j]))
     arranged = [atoms[j] for j in order]
@@ -185,7 +188,7 @@ def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[Ve
         prev = suffix[-1]
         suffix.append(tuple(gcd(a, p) for a, p in zip(atom, prev)))
     suffix.reverse()
-    return order, arranged, suffix
+    return order, arranged, suffix, [-sum(atom) for atom in arranged]
 
 
 def _suffix_feasible(rem: Vector, suffix_gcd: Vector) -> bool:
@@ -198,62 +201,15 @@ def _suffix_feasible(rem: Vector, suffix_gcd: Vector) -> bool:
     return True
 
 
-def _dfs_contains(atoms: Sequence[Vector], gamma: Vector) -> bool:
-    if not any(gamma):
-        return True
+class _Found(Exception):
+    """Raised where the first factorization is emitted, when only one is wanted."""
+
+
+def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
+    """The factorizations of gamma over the planned atoms, unsorted; only one with ``first``."""
     if any(c < 0 for c in gamma):
-        return False
-    _, arranged, suffix = _dfs_plan(atoms)
-    k = len(arranged)
-
-    def rec(j: int, rem: Vector) -> bool:
-        if not any(rem):
-            return True
-        if j == k or not _suffix_feasible(rem, suffix[j]):
-            return False
-        atom = arranged[j]
-        if j == k - 1:
-            return _exact_multiple(atom, rem) is not None
-        for c in range(_coordinate_bound(atom, rem), -1, -1):
-            if rec(j + 1, tuple(r - c * a for r, a in zip(rem, atom))):
-                return True
-        return False
-
-    return rec(0, gamma)
-
-
-def _exact_multiple(atom: Vector, rem: Vector) -> int | None:
-    """The unique c >= 0 with c*atom == rem, or None."""
-    c: int | None = None
-    for a, r in zip(atom, rem):
-        if a == 0:
-            if r != 0:
-                return None
-        else:
-            if r % a:
-                return None
-            q = r // a
-            if c is None:
-                c = q
-            elif c != q:
-                return None
-    return c if c is not None and c >= 0 else None
-
-
-def contains(S: AffineSemigroup, gamma: int | Sequence[int]) -> bool:
-    """Membership test: does gamma admit at least one factorization over the atoms?"""
-    g = as_vector(gamma, S.dim)
-    if any(c < 0 for c in g):
-        return False
-    return _dfs_contains(S.generators, g)
-
-
-def factorizations(S: AffineSemigroup, gamma: int | Sequence[int]) -> tuple[Vector, ...]:
-    """All z in N^k with sum(z_i * atom_i) == gamma, sorted; empty iff gamma is not a member."""
-    g = as_vector(gamma, S.dim)
-    if any(c < 0 for c in g):
-        return ()
-    order, arranged, suffix = _dfs_plan(S.generators)
+        return []
+    order, arranged, suffix, neg_weights = plan
     k = len(arranged)
     out: list[Vector] = []
     coeffs = [0] * k
@@ -263,24 +219,51 @@ def factorizations(S: AffineSemigroup, gamma: int | Sequence[int]) -> tuple[Vect
         for pos, original in enumerate(order):
             z[original] = coeffs[pos]
         out.append(tuple(z))
+        if first:
+            raise _Found
 
-    def rec(j: int, rem: Vector) -> None:
-        if not _suffix_feasible(rem, suffix[j]):
+    def rec(j: int, rem: Vector, weight: int) -> None:
+        if not weight:
+            emit()  # rem is zero: the remaining multiplicities are all zero
             return
+        w = -neg_weights[j]
+        if weight < w:  # atoms heavier than rem have multiplicity zero
+            j = bisect_left(neg_weights, -weight, j)
+            if j == k:
+                return
+            w = -neg_weights[j]
+        atom = arranged[j]
         if j == k - 1:
-            c = _exact_multiple(arranged[j], rem)
-            if c is not None:
+            c, extra = divmod(weight, w)
+            if not extra and rem == tuple(map(c.__mul__, atom)):
                 coeffs[j] = c
                 emit()
+                coeffs[j] = 0
             return
-        atom = arranged[j]
+        if not _suffix_feasible(rem, suffix[j]):
+            return
         for c in range(_coordinate_bound(atom, rem), -1, -1):
             coeffs[j] = c
-            rec(j + 1, tuple(r - c * a for r, a in zip(rem, atom)))
+            rec(j + 1, tuple(r - c * a for r, a in zip(rem, atom)), weight - c * w)
         coeffs[j] = 0
 
-    rec(0, g)
-    return tuple(sorted(out))
+    try:
+        rec(0, gamma, sum(gamma))
+    except _Found:
+        pass
+    return out
+
+
+def contains(S: AffineSemigroup, gamma: int | Sequence[int]) -> bool:
+    """Membership test: does gamma admit at least one factorization over the atoms?"""
+    g = as_vector(gamma, S.dim)
+    return bool(_search(_dfs_plan(S.generators), g, first=True))
+
+
+def factorizations(S: AffineSemigroup, gamma: int | Sequence[int]) -> tuple[Vector, ...]:
+    """All z in N^k with sum(z_i * atom_i) == gamma, sorted; empty iff gamma is not a member."""
+    g = as_vector(gamma, S.dim)
+    return tuple(sorted(_search(_dfs_plan(S.generators), g)))
 
 
 def length_set(S: AffineSemigroup, gamma: int | Sequence[int]) -> tuple[int, ...]:

@@ -65,10 +65,10 @@ def diophantine_system(
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ConstructionError("ragged matrix")
-    b = tuple(int(x) for x in rhs) if rhs is not None else (0,) * len(rows)
+    b = as_vector(rhs) if rhs is not None else (0,) * len(rows)
     if len(b) != len(rows):
         raise ConstructionError("right-hand side length must match the row count")
-    m = tuple(int(x) for x in moduli) if moduli is not None else None
+    m = as_vector(moduli) if moduli is not None else None
     if m is not None:
         if relation is Relation.GEQ:
             raise ConstructionError("moduli and GEQ rows are mutually exclusive")

@@ -51,7 +51,7 @@ class FullSemigroupWitness:
 def full_semigroup(matrix, moduli) -> FullSemigroupWitness:
     """The full semigroup {x in N^n : Bx = 0 (mod moduli)}, atoms via Hilbert basis."""
     rows = tuple(as_vector(r) for r in matrix)
-    mods = tuple(int(m) for m in moduli)
+    mods = as_vector(moduli)
     atoms = hilbert_basis(diophantine_system(rows, Relation.EQ, moduli=mods))
     if not atoms:
         raise ConstructionError("the congruence system admits only the zero solution")
@@ -67,7 +67,7 @@ def block_monoid(moduli, subset=None) -> FullSemigroupWitness:
     ``subset`` defaults to every nonzero group element (sorted); it may not
     contain zero or duplicates.
     """
-    mods = tuple(int(m) for m in moduli)
+    mods = as_vector(moduli)
     if not mods or any(m < 2 for m in mods):
         raise ConstructionError("block monoids need moduli >= 2")
     if subset is None:
@@ -75,7 +75,7 @@ def block_monoid(moduli, subset=None) -> FullSemigroupWitness:
             g for g in product(*(range(m) for m in mods)) if any(g)
         )
     else:
-        elements = [tuple(int(c) for c in g) for g in subset]
+        elements = [as_vector(g) for g in subset]
         if len(set(elements)) != len(elements):
             raise ConstructionError("subset contains duplicates")
         for g in elements:

@@ -75,6 +75,23 @@ def decomposes_over(vector, basis):
     return False
 
 
+def numerical_members(gens, top):
+    """Membership sieve for <gens> in N: entry n says whether n is a member, 0 <= n <= top."""
+    values = sorted(set(gens))
+    member = [False] * (top + 1)
+    member[0] = True
+    for n in range(1, top + 1):
+        member[n] = any(v <= n and member[n - v] for v in values)
+    return member
+
+
+def numerical_atoms(gens):
+    """The minimal generators of <gens> in N: those that are no sum of two nonzero members."""
+    values = sorted(set(gens))
+    member = numerical_members(values, values[-1])
+    return [v for v in values if not any(member[v - u] and u < v for u in values if u <= v)]
+
+
 def random_numerical_semigroup(rng: random.Random, k_max=5, atom_max=60) -> AffineSemigroup:
     k = rng.randint(2, k_max)
     atoms = rng.sample(range(2, atom_max + 1), k)

@@ -51,11 +51,25 @@ class TestSuccess:
         # appended last, so the ids of the rows above do not shift
         (["hilbert", "--system", "{tmp}/big.json"], 2),
         (["delta-set", "--gens", "3 4 5", "--max-steps", "-5"], 2),
+        (["hilbert", "--system", "{tmp}/relation.json"], 2),
+        # non-integer input is rejected, not truncated or left to raise
+        (["hilbert", "--system", "{tmp}/string.json"], 2),
+        (["hilbert", "--system", "{tmp}/float.json"], 2),
+        (["betti", "--equations", "{tmp}/modulus.json"], 2),
+        (["block-monoid", "--moduli", "x"], 2),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):
-    # a coefficient of 2**41 leaves the range the Diophantine search guards
-    (tmp_path / "big.json").write_text(json.dumps({"matrix": [[2**41, -1]]}))
+    files = {
+        # a coefficient of 2**41 leaves the range the Diophantine search guards
+        "big": {"matrix": [[2**41, -1]]},
+        "relation": {"matrix": [[1, -1]], "relation": "leq"},
+        "string": {"matrix": [["a", 1]]},
+        "float": {"matrix": [[1.5, -1]]},
+        "modulus": {"matrix": [[1, 2]], "moduli": [2.7]},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run(argv) == (code, "")
     assert capsys.readouterr().err.startswith("sgfact: error: ")

@@ -13,7 +13,12 @@ from sgfact import (
     length_set,
 )
 
-from oracles import brute_factorizations
+from oracles import (
+    brute_factorizations,
+    decomposes_over,
+    numerical_atoms,
+    numerical_members,
+)
 
 
 class TestConstruction:
@@ -40,7 +45,8 @@ class TestConstruction:
         assert s.generators == ((5,), (7,))
 
     @pytest.mark.parametrize(
-        "gens", [[], [0], [(0, 0), (1, 0)], [(1, 0), (0, 1, 1)], [(-1, 2)]]
+        "gens",
+        [[], [0], [(0, 0), (1, 0)], [(1, 0), (0, 1, 1)], [(-1, 2)], [2.5], [(1, "2")]],
     )
     def test_rejects_bad_input(self, gens):
         with pytest.raises(ConstructionError):
@@ -49,6 +55,49 @@ class TestConstruction:
     def test_matrix_is_columnwise(self):
         s = affine_semigroup([(1, 2), (3, 4)])
         assert s.matrix == ((1, 3), (2, 4))
+
+    def test_two_large_atoms(self):
+        # the atoms and members of <1000003, 1000033>, found without a
+        # sieve up to the largest atom
+        s = affine_semigroup([1000033, 1000003, 2000036])
+        assert s.generators == ((1000003,), (1000033,))
+        assert contains(s, 0) and contains(s, 2000036) and contains(s, 3000069)
+        assert not contains(s, 30) and not contains(s, 2000035)
+        assert factorizations(s, 3000069) == ((1, 2),)
+
+    def test_interval_of_atoms(self):
+        # every n in [100, 200) is an atom: no sum of two of them is below 200
+        s = affine_semigroup(range(100, 200))
+        assert s.generators == tuple((n,) for n in range(100, 200))
+        member = numerical_members(range(100, 200), 600)
+        assert [contains(s, n) for n in range(601)] == member
+
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_numerical_matches_sieve(self, gens):
+        # redundant generators included: multiples and sums of drawn ones
+        gens = gens + [2 * gens[0], sum(gens[:2])]
+        s = affine_semigroup(gens)
+        assert s.generators == tuple((a,) for a in numerical_atoms(gens))
+        top = 2 * max(gens)
+        assert [contains(s, n) for n in range(top + 1)] == numerical_members(gens, top)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(1, 0), (0, 1), (1, 1), (2, 3)],
+            [(2, 0), (0, 3), (1, 1), (3, 1), (4, 2), (2, 2)],
+            [(3, 1), (1, 3), (2, 2), (4, 4), (5, 3), (0, 4)],
+            [(1, 2), (2, 1), (3, 3), (0, 5), (5, 0), (6, 6), (4, 1)],
+        ],
+    )
+    def test_planar_matches_definition(self, gens):
+        s = affine_semigroup(gens)
+        distinct = sorted(set(gens))
+        atoms = [g for g in distinct if not decomposes_over(g, [h for h in distinct if h != g])]
+        assert s.generators == tuple(atoms)
+        for gamma in ((x, y) for x in range(9) for y in range(9)):
+            assert contains(s, gamma) == decomposes_over(gamma, atoms)
 
 
 class TestMembership:

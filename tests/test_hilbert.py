@@ -100,6 +100,11 @@ class TestHilbertBasis:
         with pytest.raises(ConstructionError):
             hilbert_basis(diophantine_system([(2**41, -1)]))
 
+    @pytest.mark.parametrize("extra", [{"rhs": [1.5]}, {"moduli": [2.5]}, {"moduli": ["3"]}])
+    def test_rejects_non_integers(self, extra):
+        with pytest.raises(ConstructionError):
+            diophantine_system([(1, -1)], **extra)
+
 
 class TestMinimalSolutions:
     def test_geq_paper_example(self):
