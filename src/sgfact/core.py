@@ -4,17 +4,15 @@ Vectors are plain tuples of Python ints, so every computation is exact.  A
 semigroup is immutable once built and all operations are pure functions, safe
 to call concurrently on shared objects.
 
-One depth-first search over the atoms, heavy ones first, answers every element
-query in any dimension: it enumerates the factorizations for
+One depth-first search over the atoms answers every element query in any
+dimension (see :func:`_dfs_plan`): it enumerates the factorizations for
 :func:`factorizations` and stops at the first for :func:`contains` and for the
-atom minimalization of :func:`affine_semigroup`.  A nonzero residue lighter
-(by coordinate sum) than the lightest atom ends its branch.
+atom minimalization of :func:`affine_semigroup`.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -169,26 +167,26 @@ def _coordinate_bound(atom: Vector, gamma: Vector) -> int:
     return bound if bound is not None else 0
 
 
-def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[Vector], list[int]]:
-    """Search order, per-suffix row gcds and negated weights for the factorization DFS.
+def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[int], list[Vector], list[dict]]:
+    """Search order, weights, suffix row gcds and a memo of dead lines for the DFS.
 
     Heavy atoms (by coordinate sum, the weight) first: an atom with small
-    support (zero rows) explored early has a huge branching factor, whereas
-    explored last its multiplicity is forced.  The suffix gcds prune branches
-    where a residue can no longer be matched by the remaining atoms.  The
-    negated weights ascend, so one bisection skips the atoms heavier than a
-    residue; the lightest atom comes last, so a nonzero residue lighter than
-    it skips them all and its branch ends at any depth.
+    support explored early has a huge branching factor; explored last, its
+    multiplicity is forced.  A residue skips the atoms heavier than itself,
+    and its branch ends unless some length L has L * lightest <= weight <=
+    L * heaviest left and the suffix row gcds divide it.  A search that
+    stops at the first factorization records, per position j and line
+    ``low + t*atom_j`` (``low`` lowest in N^dim), the largest t known to
+    leave nothing; smaller t leave nothing either, so each line is walked
+    once per plan, as a sieve walks each value once in dimension one.
     """
     order = sorted(range(len(atoms)), key=lambda j: (-sum(atoms[j]), atoms[j]))
     arranged = [atoms[j] for j in order]
-    dim = len(atoms[0])
-    suffix: list[Vector] = [(0,) * dim]
+    suffix: list[Vector] = [(0,) * len(atoms[0])]
     for atom in reversed(arranged):
-        prev = suffix[-1]
-        suffix.append(tuple(gcd(a, p) for a, p in zip(atom, prev)))
+        suffix.append(tuple(map(gcd, atom, suffix[-1])))
     suffix.reverse()
-    return order, arranged, suffix, [-sum(atom) for atom in arranged]
+    return order, arranged, [sum(atom) for atom in arranged], suffix, [{} for _ in arranged]
 
 
 def _suffix_feasible(rem: Vector, suffix_gcd: Vector) -> bool:
@@ -209,8 +207,9 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
     """The factorizations of gamma over the planned atoms, unsorted; only one with ``first``."""
     if any(c < 0 for c in gamma):
         return []
-    order, arranged, suffix, neg_weights = plan
+    order, arranged, weights, suffix, dead = plan
     k = len(arranged)
+    lightest = weights[-1]
     out: list[Vector] = []
     coeffs = [0] * k
 
@@ -222,33 +221,42 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
         if first:
             raise _Found
 
-    def rec(j: int, rem: Vector, weight: int) -> None:
+    def rec(j: int, rem: Vector) -> None:
+        weight = sum(rem)
         if not weight:
             emit()  # rem is zero: the remaining multiplicities are all zero
             return
-        w = -neg_weights[j]
-        if weight < w:  # atoms heavier than rem have multiplicity zero
-            j = bisect_left(neg_weights, -weight, j)
-            if j == k:
-                return
-            w = -neg_weights[j]
+        # the multiplicities left add up to L with L * lightest <= weight <= L * weights[j]
+        if -(-weight // weights[j]) > weight // lightest:
+            return
+        while weights[j] > weight:  # atoms heavier than rem have multiplicity zero
+            j += 1
         atom = arranged[j]
-        if j == k - 1:
-            c, extra = divmod(weight, w)
-            if not extra and rem == tuple(map(c.__mul__, atom)):
+        if j == k - 1:  # rem == c * atom forces c = weight // lightest
+            c = weight // lightest
+            if rem == tuple([c * a for a in atom]):
                 coeffs[j] = c
                 emit()
                 coeffs[j] = 0
             return
         if not _suffix_feasible(rem, suffix[j]):
             return
-        for c in range(_coordinate_bound(atom, rem), -1, -1):
+        top = _coordinate_bound(atom, rem)
+        skip = 0
+        if first:
+            low = tuple(r - top * a for r, a in zip(rem, atom))
+            skip = dead[j].get(low, -1) + 1
+            if skip > top:
+                return
+        for c in range(top - skip, -1, -1):
             coeffs[j] = c
-            rec(j + 1, tuple(r - c * a for r, a in zip(rem, atom)), weight - c * w)
+            rec(j + 1, tuple(r - c * a for r, a in zip(rem, atom)))
         coeffs[j] = 0
+        if first:
+            dead[j][low] = top
 
     try:
-        rec(0, gamma, sum(gamma))
+        rec(0, gamma)
     except _Found:
         pass
     return out

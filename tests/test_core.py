@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,22 @@ from oracles import (
     numerical_atoms,
     numerical_members,
 )
+
+
+@contextmanager
+def cpu_limit(seconds):
+    """Fail with TimeoutError, instead of running on, once the block has used ``seconds`` of CPU."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"more than {seconds} s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 class TestConstruction:
@@ -81,6 +100,42 @@ class TestConstruction:
         assert s.generators == tuple((a,) for a in numerical_atoms(gens))
         top = 2 * max(gens)
         assert [contains(s, n) for n in range(top + 1)] == numerical_members(gens, top)
+
+    @pytest.mark.parametrize("extra, is_atom", [(50001, False), (40800, True), (200003, False)])
+    def test_interval_and_a_large_generator(self, extra, is_atom):
+        # n is in <1000, ..., 1019> iff 1000t <= n <= 1019t for some t, so
+        # 40800 (between 40 * 1019 and 41 * 1000) is the only new atom
+        interval = tuple((n,) for n in range(1000, 1020))
+        with cpu_limit(5):
+            s = affine_semigroup(list(range(1000, 1020)) + [extra])
+            assert contains(s, 40760) and not contains(s, 40761)
+        assert s.generators == interval + (((extra,),) if is_atom else ())
+
+    def test_clustered_atoms_with_dead_residues(self):
+        # residues that pass every weight test yet are no members: a search
+        # that forgets them takes minutes here
+        gens = [551, 548, 542, 569, 530, 539, 524, 518, 563, 560, 515,
+                527, 521, 533, 506, 545, 557, 509, 554, 497, 9800]
+        with cpu_limit(5):
+            s = affine_semigroup(gens)
+            found = [contains(s, n) for n in range(0, 9801, 97)]
+        assert s.generators == tuple((a,) for a in numerical_atoms(gens))
+        assert found == numerical_members(gens, 9800)[::97]
+
+    @given(
+        st.integers(20, 300),
+        st.lists(st.integers(0, 30), min_size=2, max_size=12),
+        st.integers(2, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_clustered_matches_sieve(self, base, offsets, factor):
+        # clustered atoms next to one much larger generator
+        gens = [base + o for o in offsets] + [factor * base + offsets[-1]]
+        with cpu_limit(5):
+            s = affine_semigroup(gens)
+            found = [contains(s, n) for n in range(0, max(gens) + 1, 7)]
+        assert s.generators == tuple((a,) for a in numerical_atoms(gens))
+        assert found == numerical_members(gens, max(gens))[::7]
 
     @pytest.mark.parametrize(
         "gens",
