@@ -2,35 +2,34 @@
 
 The direct route builds the complete distance-labeled graph on a fiber and
 runs Kruskal; the bottleneck weight of the resulting spanning tree is the
-catenary degree.  The dynamic route reuses minimum-weight spanning trees of
-smaller elements: shifting every factorization of gamma - atom_i up by one
-copy of atom i embeds that tree isometrically, and together with the kernel
-pairs landing exactly on gamma these edges are guaranteed to span the fiber
-with correct bottlenecks, so each element costs one small Kruskal pass over
-a merge of already-sorted edge lists.
+catenary degree.  The dynamic route builds a minimum-weight spanning tree of
+every element from the trees of the elements one atom below it.  Every
+nonzero factorization of gamma lies in e_i + Z(gamma - a_i) for some atom i,
+and the shift by e_i preserves distances, so the shifted child trees cover
+the fiber.  An edge between two factorizations that share atom i lies in the
+shifted complete graph of that child, whose tree already joins its ends by a
+path no heavier (the cycle property).  So Kruskal needs only two edge sets:
+the shifted child trees, and the pairs of factorizations with disjoint
+supports.  Each element then costs one small pass over a merge of sorted
+edge lists.
 
-Trees are memoized: in a plain map keyed by element for arbitrary dimension,
-and in a ring buffer of capacity max(atom) for the ascending sweep over a
-numerical semigroup, where older trees can never be needed again.
+Trees are memoized in a plain dict from element to tree, with ``None`` for a
+non-member.  The ascending sweep over a numerical semigroup drops each tree
+once it lies max(atom) below the sweep, where it can never be needed again.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import (
-    AffineSemigroup,
-    Vector,
-    as_vector,
-    dist,
-    factorizations,
-    vadd,
-    value_of,
-    vsub,
+from .core import AffineSemigroup, Vector, as_vector, dist, factorizations, vadd, vsub
+from .errors import (
+    NotInSemigroupError,
+    ResourceLimitError,
+    UnsupportedDimensionError,
+    _step_limit,
 )
-from .errors import NotInSemigroupError, UnsupportedDimensionError
-from .hilbert import graver_basis
 
 Edge = tuple[int, Vector, Vector]  # (weight, smaller endpoint, larger endpoint)
 
@@ -45,6 +44,9 @@ class WeightedTree:
     @property
     def bottleneck(self) -> int:
         return self.edges[-1][0] if self.edges else 0
+
+
+Memo = dict[Vector, WeightedTree | None]  # element -> its tree, None for a non-member
 
 
 def _edge(z: Vector, w: Vector) -> Edge:
@@ -119,114 +121,112 @@ def _translate(tree: WeightedTree, atom_index: int, k: int) -> tuple[list[Vector
     return vertices, edges
 
 
-class TreeMemo:
-    """Per-semigroup cache of minimum-weight spanning trees.
+def _disjoint_pairs(vertices: tuple[Vector, ...]) -> list[Edge]:
+    """Edges between the factorizations with disjoint supports, sorted by weight."""
+    by_support: dict[int, list[Vector]] = {}
+    for v in vertices:
+        if 0 in v:  # a factorization that uses every atom has no partner
+            mask = sum(1 << i for i, c in enumerate(v) if c)
+            by_support.setdefault(mask, []).append(v)
+    masks = list(by_support)
+    edges = [
+        _edge(z, w)
+        for i, m in enumerate(masks)
+        for n in masks[i + 1 :]
+        if not m & n
+        for z in by_support[m]
+        for w in by_support[n]
+    ]
+    edges.sort()
+    return edges
 
-    Holds the kernel-pair edge index (computed once per semigroup) and a map
-    from element to tree.  A memo instance is not thread-safe; confine it to
-    one thread or use separate instances.
+
+def _build_tree(k: int, children: list[tuple[int, WeightedTree]]) -> WeightedTree:
+    """Kruskal over the shifted child trees and the disjoint-support pairs.
+
+    ``children`` holds (atom index, tree of the element minus that atom) for
+    every member one atom below; with none, the element is zero and its fiber
+    is the zero vector of length ``k``.
     """
-
-    def __init__(self, S: AffineSemigroup):
-        self.semigroup = S
-        self.trees: dict[Vector, WeightedTree] = {}
-        self.member: dict[Vector, bool] = {}
-        self._edge_index: dict[Vector, list[Edge]] | None = None
-
-    def kernel_edges(self, value: Vector) -> list[Edge]:
-        if self._edge_index is None:
-            index: dict[Vector, list[Edge]] = {}
-            for z, w in graver_basis(self.semigroup):
-                value_z = value_of(self.semigroup, z)
-                index.setdefault(value_z, []).append(_edge(z, w))
-            for edges in index.values():
-                edges.sort()
-            self._edge_index = index
-        return self._edge_index.get(value, [])
-
-
-def _descent_set(S: AffineSemigroup, gamma: Vector) -> list[Vector]:
-    """All nonnegative gamma - (sum of atoms), ordered by ascending coordinate sum."""
-    seen = {gamma}
-    queue = [gamma]
-    while queue:
-        current = queue.pop()
-        for atom in S.generators:
-            child = vsub(current, atom)
-            if all(c >= 0 for c in child) and child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return sorted(seen, key=lambda v: (sum(v), v))
-
-
-def _build_tree(
-    S: AffineSemigroup,
-    element: Vector,
-    children: list[tuple[int, WeightedTree]],
-    kernel_edges: list[Edge],
-) -> WeightedTree:
-    """Kruskal over the shifted child trees and the kernel pairs at this element."""
-    k = len(S.generators)
+    if not children:
+        return WeightedTree(((0,) * k,), ())
     vertex_set: set[Vector] = set()
     edge_lists: list[list[Edge]] = []
     for atom_index, tree in children:
         vertices, edges = _translate(tree, atom_index, k)
         vertex_set.update(vertices)
         edge_lists.append(edges)
-    for _, a, b in kernel_edges:
-        vertex_set.add(a)
-        vertex_set.add(b)
-    if kernel_edges:
-        edge_lists.append(kernel_edges)
-    if not vertex_set:
-        # only the zero element has no member children and no kernel pairs
-        return WeightedTree(((0,) * k,), ())
     vertices = tuple(sorted(vertex_set))
     if len(vertices) == 1:
         return WeightedTree(vertices, ())
+    edge_lists.append(_disjoint_pairs(vertices))
     admitted = _kruskal(vertices, _merge_edges(edge_lists))
     return WeightedTree(vertices, tuple(admitted))
 
 
-def mwst(S: AffineSemigroup, gamma: int | Vector, memo: TreeMemo | None = None) -> WeightedTree:
+def _settle(S: AffineSemigroup, memo: Memo, element: Vector) -> WeightedTree | None:
+    """Record the tree of one element, or None for a non-member, in the memo.
+
+    Every nonnegative element - atom must be settled already.
+    """
+    children = []
+    for atom_index, atom in enumerate(S.generators):
+        child = vsub(element, atom)
+        if min(child) >= 0 and (tree := memo[child]) is not None:
+            children.append((atom_index, tree))
+    tree = _build_tree(len(S.generators), children) if children or not any(element) else None
+    memo[element] = tree
+    return tree
+
+
+def _descent_set(S: AffineSemigroup, gamma: Vector, memo: Memo) -> list[Vector]:
+    """gamma and every nonnegative gamma - (sum of atoms) not yet in the memo.
+
+    Ordered by ascending coordinate sum, so each comes after all elements one
+    atom below it.  A settled element is not descended into: everything below
+    it was settled first.  Under :func:`~sgfact.errors.step_limit` every
+    element found is one step, since each is settled next.
+    """
+    limit = _step_limit.get()
+    seen = {gamma}
+    queue = [gamma]
+    while queue:
+        current = queue.pop()
+        for atom in S.generators:
+            child = vsub(current, atom)
+            if min(child) >= 0 and child not in seen and child not in memo:
+                seen.add(child)
+                queue.append(child)
+        if limit is not None and len(seen) > limit:
+            raise ResourceLimitError(limit)
+    return sorted(seen, key=lambda v: (sum(v), v))
+
+
+def mwst(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> WeightedTree:
     """A minimum-weight spanning tree of the fiber graph of gamma.
 
     Trees for everything below gamma are built bottom-up (an explicit
     worklist ordered by coordinate sum, so recursion depth is never an
-    issue); membership falls out of the same pass.
+    issue); membership falls out of the same pass.  ``memo`` maps each
+    settled element to its tree, or to None for a non-member; pass one dict
+    to share the work across calls.  Under :func:`~sgfact.errors.step_limit`
+    every element settled is one step.
     """
     g = as_vector(gamma, S.dim)
     if memo is None:
-        memo = TreeMemo(S)
-    if g in memo.trees:
-        return memo.trees[g]
-    if any(c < 0 for c in g):
-        raise NotInSemigroupError(f"{gamma} has negative coordinates")
-    for element in _descent_set(S, g):
-        if element in memo.trees or memo.member.get(element) is False:
-            continue
-        children = []
-        is_member = not any(element)
-        for atom_index, atom in enumerate(S.generators):
-            child = vsub(element, atom)
-            if any(c < 0 for c in child):
-                continue
-            if memo.member.get(child):
-                is_member = True
-                children.append((atom_index, memo.trees[child]))
-        memo.member[element] = is_member
-        if is_member:
-            memo.trees[element] = _build_tree(
-                S, element, children, memo.kernel_edges(element)
-            )
-    if not memo.member.get(g):
+        memo = {}
+    if g not in memo:
+        if any(c < 0 for c in g):
+            raise NotInSemigroupError(f"{gamma} has negative coordinates")
+        for element in _descent_set(S, g, memo):
+            _settle(S, memo, element)
+    tree = memo[g]
+    if tree is None:
         raise NotInSemigroupError(f"{gamma} is not in the semigroup")
-    return memo.trees[g]
+    return tree
 
 
-def catenary_dynamic(
-    S: AffineSemigroup, gamma: int | Vector, memo: TreeMemo | None = None
-) -> int:
+def catenary_dynamic(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> int:
     """Catenary degree via the memoized spanning-tree route; agrees with catenary_naive."""
     return mwst(S, gamma, memo).bottleneck
 
@@ -234,35 +234,25 @@ def catenary_dynamic(
 def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
     """(element, catenary degree) for every semigroup element up to the bound.
 
-    Numerical semigroups only.  The sweep walks gamma = 0..bound; the tree of
-    gamma - max(atom) is the oldest one ever recalled, so trees live in a
-    ring buffer of that capacity, indexed by gamma modulo the capacity.
+    Numerical semigroups only.  The sweep settles gamma = 0..bound in order,
+    then drops the tree of gamma - max(atom), the oldest one any later
+    element recalls, so at most max(atom) trees are held.  Under
+    :func:`~sgfact.errors.step_limit` every element settled, member or not,
+    is one step.
     """
     if S.dim != 1:
         raise UnsupportedDimensionError("ascending sweep requires a numerical semigroup")
-    atoms = [a[0] for a in S.generators]
-    capacity = max(atoms)
-    memo = TreeMemo(S)
-    ring: list[tuple[int, WeightedTree | None]] = [(-1, None)] * capacity
-    member = [False] * (bound + 1)
+    limit = _step_limit.get()
+    top = max(a[0] for a in S.generators)
+    memo: Memo = {}
     results: list[tuple[int, int]] = []
+    steps = 0
     for gamma in range(bound + 1):
-        children: list[tuple[int, WeightedTree]] = []
-        is_member = gamma == 0
-        for atom_index, atom in enumerate(atoms):
-            past = gamma - atom
-            if past < 0 or not member[past]:
-                continue
-            stamp, tree = ring[past % capacity]
-            if stamp != past or tree is None:
-                raise AssertionError(f"ring buffer lost the tree of {past}")
-            is_member = True
-            children.append((atom_index, tree))
-        member[gamma] = is_member
-        if not is_member:
-            ring[gamma % capacity] = (gamma, None)
-            continue
-        tree = _build_tree(S, (gamma,), children, memo.kernel_edges((gamma,)))
-        ring[gamma % capacity] = (gamma, tree)
-        results.append((gamma, tree.bottleneck))
+        steps += 1
+        if limit is not None and steps > limit:
+            raise ResourceLimitError(limit)
+        tree = _settle(S, memo, (gamma,))
+        memo.pop((gamma - top,), None)
+        if tree is not None:
+            results.append((gamma, tree.bottleneck))
     return results

@@ -42,6 +42,19 @@ def as_vector(value: int | Sequence[int], dim: int | None = None) -> Vector:
     return vec
 
 
+def as_matrix(matrix: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """Normalize each row with :func:`as_vector`.
+
+    Input that is not an iterable of rows (an int or None, say) raises
+    :class:`ConstructionError`.
+    """
+    try:
+        rows = iter(matrix)
+    except TypeError:
+        raise ConstructionError(f"expected a list of rows, got {matrix!r}") from None
+    return tuple(as_vector(r) for r in rows)
+
+
 def vadd(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -29,7 +29,7 @@ class UnsupportedDimensionError(SgfactError, ValueError):
 
 
 class ResourceLimitError(SgfactError, RuntimeError):
-    """A completion loop exceeded the configured step budget."""
+    """A counting loop exceeded the configured step budget."""
 
     def __init__(self, steps: int):
         super().__init__(f"step budget of {steps} exceeded")
@@ -41,7 +41,7 @@ _step_limit = ContextVar("step_limit", default=None)
 
 @contextmanager
 def step_limit(n: int | None):
-    """Make each completion loop in the block raise :class:`ResourceLimitError`
+    """Make each counting loop in the block raise :class:`ResourceLimitError`
     after ``n`` steps of its own (``None``: no limit), like ``decimal.localcontext``."""
     if n is not None and n < 0:
         raise ConstructionError(f"step limit must be nonnegative, got {n}")

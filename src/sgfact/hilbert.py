@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AffineSemigroup, Vector, as_vector
+from .core import AffineSemigroup, Vector, as_matrix, as_vector
 from .errors import ConstructionError, ResourceLimitError, _step_limit
 
 _INT_GUARD = 1 << 41
@@ -59,7 +59,7 @@ def diophantine_system(
     moduli: Sequence[int] | None = None,
 ) -> DiophantineSystem:
     """Validate and freeze a system description."""
-    rows = tuple(as_vector(r) for r in matrix)
+    rows = as_matrix(matrix)
     if not rows:
         raise ConstructionError("a system needs at least one row")
     n = len(rows[0])

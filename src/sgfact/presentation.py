@@ -1,4 +1,4 @@
-"""Minimal presentations, Betti elements, and delta-set bounds.
+"""Minimal presentations and Betti elements.
 
 A minimal presentation is assembled fiber by fiber: the candidate values are
 those of the members of the defining ideal's reduced Groebner basis, which
@@ -9,9 +9,7 @@ components contributes c - 1 star relations.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .core import AffineSemigroup, Vector, delta_of_element, factorizations, value_of
+from .core import AffineSemigroup, Vector, factorizations, value_of
 from .grobner import toric_ideal
 
 Pair = tuple[Vector, Vector]
@@ -75,26 +73,3 @@ def betti_elements(S: AffineSemigroup) -> tuple[Vector, ...]:
     """Values of the relations in a minimal presentation (independent of the choice)."""
     return tuple(sorted({value_of(S, z) for z, _ in minimal_presentation(S)}))
 
-
-def delta_bounds(S: AffineSemigroup) -> tuple[int, int] | None:
-    """(min, max) of the semigroup's delta set, or None when that set is empty.
-
-    The minimum is the gcd of the relation length gaps; the maximum is the
-    largest element-level delta over the Betti values.  Betti values whose own
-    delta set is empty are skipped in the maximum; zero length gaps are
-    ignored in the gcd unless all gaps vanish (half-factorial case).
-    """
-    relations = minimal_presentation(S)
-    gaps = [abs(sum(z) - sum(w)) for z, w in relations]
-    nonzero = [g for g in gaps if g]
-    if not nonzero:
-        return None
-    lower = 0
-    for g in nonzero:
-        lower = gcd(lower, g)
-    upper = 0
-    for value in {value_of(S, z) for z, _ in relations}:
-        deltas = delta_of_element(S, value)
-        if deltas:
-            upper = max(upper, deltas[-1])
-    return (lower, upper)

@@ -18,6 +18,7 @@ from .core import (
     CongruenceSystem,
     Vector,
     affine_semigroup,
+    as_matrix,
     as_vector,
     dist,
     factorizations,
@@ -50,7 +51,7 @@ class FullSemigroupWitness:
 
 def full_semigroup(matrix, moduli) -> FullSemigroupWitness:
     """The full semigroup {x in N^n : Bx = 0 (mod moduli)}, atoms via Hilbert basis."""
-    rows = tuple(as_vector(r) for r in matrix)
+    rows = as_matrix(matrix)
     mods = as_vector(moduli)
     atoms = hilbert_basis(diophantine_system(rows, Relation.EQ, moduli=mods))
     if not atoms:

@@ -3,6 +3,8 @@
 Everything here enumerates boxes with itertools and checks definitions
 directly, or runs the plain textbook loop; none of it shares code with the
 search engines it is used to verify beyond the binomial and term-order types.
+The one exception, ``delta_bounds``, derives a cheap bracket of the delta set
+from the public presentation and element-delta functions.
 """
 
 from __future__ import annotations
@@ -10,9 +12,12 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import count, product
+from math import gcd
 
-from sgfact import AffineSemigroup, affine_semigroup
+from sgfact import AffineSemigroup, affine_semigroup, delta_of_element
+from sgfact.core import value_of
 from sgfact.grobner import Binomial
+from sgfact.presentation import minimal_presentation
 
 
 def brute_factorizations(gens, gamma):
@@ -214,3 +219,27 @@ def reference_groebner(gens, order):
                 break
     minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
     return tuple(minimal)
+
+
+def delta_bounds(S: AffineSemigroup) -> tuple[int, int] | None:
+    """(min, max) of the semigroup's delta set, or None when that set is empty.
+
+    The minimum is the gcd of the relation length gaps; the maximum is the
+    largest element-level delta over the Betti values.  Betti values whose own
+    delta set is empty are skipped in the maximum; zero length gaps are
+    ignored in the gcd unless all gaps vanish (half-factorial case).
+    """
+    relations = minimal_presentation(S)
+    gaps = [abs(sum(z) - sum(w)) for z, w in relations]
+    nonzero = [g for g in gaps if g]
+    if not nonzero:
+        return None
+    lower = 0
+    for g in nonzero:
+        lower = gcd(lower, g)
+    upper = 0
+    for value in {value_of(S, z) for z, _ in relations}:
+        deltas = delta_of_element(S, value)
+        if deltas:
+            upper = max(upper, deltas[-1])
+    return (lower, upper)

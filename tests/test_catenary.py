@@ -1,16 +1,26 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sgfact import NotInSemigroupError, UnsupportedDimensionError, affine_semigroup, dist, factorizations
+from sgfact import (
+    NotInSemigroupError,
+    ResourceLimitError,
+    UnsupportedDimensionError,
+    affine_semigroup,
+    dist,
+    factorizations,
+    step_limit,
+)
 from sgfact.catenary import (
-    TreeMemo,
     WeightedTree,
     catenary_dynamic,
     catenary_naive,
     catenary_range,
     mwst,
 )
+from sgfact.core import value_of
 
 from oracles import random_numerical_semigroup
 
@@ -87,7 +97,7 @@ class TestTrees:
         assert stripped == {(9, 7, 0), (0, 0, 9)}
 
     def test_structure_and_vertex_recovery(self, s_11_36_39):
-        memo = TreeMemo(s_11_36_39)
+        memo = {}
         for gamma in (88, 150, 351, 450):
             tree = mwst(s_11_36_39, gamma, memo)
             fiber = factorizations(s_11_36_39, gamma)
@@ -102,11 +112,11 @@ class TestTrees:
                 assert tuple(sorted(endpoints)) == fiber
 
     def test_shift_preserves_weights(self, s_11_36_39):
-        memo = TreeMemo(s_11_36_39)
+        memo = {}
         mwst(s_11_36_39, 450, memo)
         from sgfact.catenary import _translate
 
-        tree = memo.trees[(439,)]
+        tree = memo[(439,)]
         _, edges = _translate(tree, 0, 3)
         for w, a, b in edges:
             assert dist(a, b) == w
@@ -118,7 +128,7 @@ class TestTrees:
 
 class TestDynamic:
     def test_known_values(self, s_11_36_39):
-        memo = TreeMemo(s_11_36_39)
+        memo = {}
         assert catenary_dynamic(s_11_36_39, 450, memo) == 16
         assert catenary_dynamic(s_11_36_39, 351, memo) == 16
 
@@ -131,7 +141,7 @@ class TestDynamic:
 
     def test_affine_dimension_two(self):
         s = affine_semigroup([(2, 0), (1, 1), (0, 2)])
-        memo = TreeMemo(s)
+        memo = {}
         for gamma in [(4, 2), (6, 6), (5, 3), (8, 4)]:
             assert catenary_dynamic(s, gamma, memo) == catenary_naive(s, gamma)
 
@@ -139,7 +149,7 @@ class TestDynamic:
         rng = random.Random(2024)
         for _ in range(6):
             s = random_numerical_semigroup(rng, atom_max=50)
-            memo = TreeMemo(s)
+            memo = {}
             checked = 0
             gamma = 0
             while checked < 25:
@@ -149,6 +159,18 @@ class TestDynamic:
                     continue
                 assert catenary_dynamic(s, gamma, memo) == catenary_naive(s, gamma)
                 checked += 1
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_memo_matches_naive_in_dimensions_two_and_three(self, data):
+        d = data.draw(st.sampled_from([2, 3]))
+        vectors = st.tuples(*[st.integers(0, 5)] * d).filter(any)
+        s = affine_semigroup(data.draw(st.lists(vectors, min_size=2, max_size=5)))
+        counts = st.tuples(*[st.integers(0, 3)] * len(s.generators))
+        memo = {}
+        for z in data.draw(st.lists(counts, min_size=1, max_size=10)):
+            gamma = value_of(s, z)
+            assert catenary_dynamic(s, gamma, memo) == catenary_naive(s, gamma)
 
 
 class TestRange:
@@ -167,7 +189,38 @@ class TestRange:
     def test_agrees_with_dynamic_and_naive(self):
         s = affine_semigroup([7, 10, 13])
         entries = catenary_range(s, 120)
-        memo = TreeMemo(s)
+        memo = {}
         for gamma, value in entries:
             assert value == catenary_dynamic(s, gamma, memo)
             assert value == catenary_naive(s, gamma)
+
+    @given(st.lists(st.integers(2, 40), min_size=2, max_size=5, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_at_every_member(self, atoms):
+        s = affine_semigroup(atoms)
+        fibers = [factorizations(s, g) for g in range(151)]
+        # the naive oracle is quadratic in the fiber: <5,...,9> would take minutes
+        assume(max(map(len, fibers)) <= 200)
+        entries = catenary_range(s, 150)
+        assert [g for g, _ in entries] == [g for g, fiber in enumerate(fibers) if fiber]
+        for gamma, value in entries:
+            assert value == catenary_naive(s, gamma)
+
+
+class TestBudget:
+    def test_limit_stops_mwst(self):
+        with step_limit(5), pytest.raises(ResourceLimitError):
+            mwst(affine_semigroup([3, 5]), 100)
+
+    def test_limit_stops_range(self):
+        # one step per element of 0..bound, members and gaps alike
+        with step_limit(100), pytest.raises(ResourceLimitError):
+            catenary_range(affine_semigroup([3, 5]), 100)
+
+    def test_large_enough_limit_gives_unlimited_output(self, s_11_36_39):
+        entries = catenary_range(s_11_36_39, 200)
+        tree = mwst(s_11_36_39, 450)
+        with step_limit(201):
+            assert catenary_range(s_11_36_39, 200) == entries
+        with step_limit(451):
+            assert mwst(s_11_36_39, 450) == tree

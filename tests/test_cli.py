@@ -46,7 +46,7 @@ class TestSuccess:
         (["min-presentation", "--gens", WIDE, "--max-steps", "1"], 4),
         # and the criteria-filtered saturation of the homogenized semigroup
         (["delta-set", "--gens", "17 33 53 71", "--method", "grobner", "--max-steps", "20"], 4),
-        # and the Graver completion behind the dynamic catenary degree
+        # and the dynamic catenary degree, one step per element settled
         (["catenary", "--gens", "17 33 53 71", "--element", "200", "--max-steps", "0"], 4),
         # appended last, so the ids of the rows above do not shift
         (["hilbert", "--system", "{tmp}/big.json"], 2),
@@ -57,6 +57,12 @@ class TestSuccess:
         (["hilbert", "--system", "{tmp}/float.json"], 2),
         (["betti", "--equations", "{tmp}/modulus.json"], 2),
         (["block-monoid", "--moduli", "x"], 2),
+        # a matrix that is not a list of rows
+        (["hilbert", "--system", "{tmp}/scalar.json"], 2),
+        (["tame", "--equations", "{tmp}/null.json"], 2),
+        # the catenary sweep counts its own steps, however large the bound
+        (["catenary-range", "--gens", "3 5", "--bound", "10", "--max-steps", "0"], 4),
+        (["catenary-range", "--gens", "3 5", "--bound", str(10**20), "--max-steps", "10"], 4),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):
@@ -67,6 +73,8 @@ def test_error_exit_codes(argv, code, capsys, tmp_path):
         "string": {"matrix": [["a", 1]]},
         "float": {"matrix": [[1.5, -1]]},
         "modulus": {"matrix": [[1, 2]], "moduli": [2.7]},
+        "scalar": {"matrix": 5},
+        "null": {"matrix": None, "moduli": [3]},
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

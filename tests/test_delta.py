@@ -11,9 +11,8 @@ from sgfact.delta import (
     homogenize,
 )
 from sgfact.grobner import BinomialIdealBasis, TermOrder, buchberger, normal_form
-from sgfact.presentation import delta_bounds
 
-from oracles import random_affine_semigroup, random_numerical_semigroup
+from oracles import delta_bounds, random_affine_semigroup, random_numerical_semigroup
 
 
 def _chain_state(S) -> tuple[tuple[int, ...], BinomialIdealBasis, dict[int, list]]:

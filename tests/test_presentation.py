@@ -3,7 +3,9 @@ import random
 from sgfact import affine_semigroup, graver_basis
 from sgfact.core import value_of
 from sgfact.grobner import binomial, buchberger, normal_form, toric_ideal
-from sgfact.presentation import betti_elements, delta_bounds, minimal_presentation
+from sgfact.presentation import betti_elements, minimal_presentation
+
+from oracles import delta_bounds
 
 # kernel dimension 7; the relations were recorded from the block-elimination
 # engine that toric_ideal replaced
