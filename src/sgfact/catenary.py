@@ -10,21 +10,30 @@ the fiber.  An edge between two factorizations that share atom i lies in the
 shifted complete graph of that child, whose tree already joins its ends by a
 path no heavier (the cycle property).  So Kruskal needs only two edge sets:
 the shifted child trees, and the pairs of factorizations with disjoint
-supports.  Each element then costs one small pass over a merge of sorted
-edge lists.
+supports.  Each element then costs one Kruskal pass over one sort of the
+concatenated edge lists: Timsort merges the presorted runs, and an edge two
+children share is skipped the second time, its ends being joined already.
 
-Trees are memoized in a plain dict from element to tree, with ``None`` for a
-non-member.  The ascending sweep over a numerical semigroup drops each tree
-once it lies max(atom) below the sweep, where it can never be needed again.
+On this route a factorization z of k atoms is the int sum(z_i << W*(k-1-i)),
+W the bit length of ``core._INT_LIMIT``: the shift by e_i is one add, and
+int order is the lexicographic order of the tuples, so trees and tie-breaks
+are the same.  Atoms are nonzero vectors in N^d, so no z_i exceeds max(g),
+which is below ``_INT_LIMIT`` for every element g that ``as_vector`` accepts
+or :func:`catenary_range` admits: no field carries into the next.  The memo,
+a plain dict, maps an element to its packed tree, or to ``None`` for a
+non-member; :func:`mwst` decodes only the tree it returns.  The ascending
+sweep over a numerical semigroup drops each tree once it lies max(atom)
+below the sweep, where it can never be needed again.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
-from .core import AffineSemigroup, Vector, as_vector, dist, factorizations, vadd, vsub
+from .core import _INT_LIMIT, AffineSemigroup, Vector, as_vector, dist, factorizations, vsub
 from .errors import (
+    ConstructionError,
     NotInSemigroupError,
     ResourceLimitError,
     UnsupportedDimensionError,
@@ -32,6 +41,11 @@ from .errors import (
 )
 
 Edge = tuple[int, Vector, Vector]  # (weight, smaller endpoint, larger endpoint)
+Packed = tuple[list[int], list[tuple[int, int, int]]]  # sorted vertex codes, sorted code edges
+
+V = TypeVar("V", Vector, int)  # a vertex: a factorization or its code
+_W = _INT_LIMIT.bit_length()  # field width of one coordinate in a vertex code
+_MASK = (1 << _W) - 1
 
 
 @dataclass(frozen=True)
@@ -43,30 +57,36 @@ class WeightedTree:
 
     @property
     def bottleneck(self) -> int:
-        return self.edges[-1][0] if self.edges else 0
+        return _bottleneck(self.edges)
 
 
-Memo = dict[Vector, WeightedTree | None]  # element -> its tree, None for a non-member
+Memo = dict[Vector, Packed | None]  # element -> its packed tree, None for a non-member
+
+
+def _bottleneck(edges) -> int:
+    return edges[-1][0] if edges else 0
+
+
+def _unpack(code: int, k: int) -> Vector:
+    """The factorization of k atoms that a vertex code stands for."""
+    return tuple([(code >> s) & _MASK for s in range(_W * (k - 1), -1, -_W)])
 
 
 def _edge(z: Vector, w: Vector) -> Edge:
     return (dist(z, w), z, w) if z < w else (dist(z, w), w, z)
 
 
-def _kruskal(vertices: tuple[Vector, ...], edges: list[Edge]) -> list[Edge]:
+def _kruskal(vertices: Sequence[V], edges: list[tuple[int, V, V]]) -> list[tuple[int, V, V]]:
     """Spanning-tree edges admitted in the given (already weight-sorted) order."""
-    parent: dict[Vector, Vector] = {v: v for v in vertices}
-    size: dict[Vector, int] = {v: 1 for v in vertices}
+    parent: dict[V, V] = {v: v for v in vertices}
+    size: dict[V, int] = {v: 1 for v in vertices}
 
-    def find(v: Vector) -> Vector:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+    def find(v: V) -> V:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
 
-    admitted: list[Edge] = []
+    admitted: list[tuple[int, V, V]] = []
     needed = len(vertices) - 1
     for edge in edges:
         ra, rb = find(edge[1]), find(edge[2])
@@ -100,72 +120,55 @@ def catenary_naive(S: AffineSemigroup, gamma: int | Vector) -> int:
     return admitted[-1][0]
 
 
-def _merge_edges(lists: list[tuple[Edge, ...] | list[Edge]]) -> list[Edge]:
-    """Merge weight-sorted edge lists, dropping duplicates, in linear time."""
-    merged: list[Edge] = []
-    for edge in heapq.merge(*lists):
-        if not merged or merged[-1] != edge:
-            merged.append(edge)
-    return merged
+def _translate(tree: Packed, atom_index: int, k: int) -> Packed:
+    """A memoized packed tree shifted by e_i: one add per vertex and endpoint,
+    which keeps every weight and the order of both lists."""
+    unit = 1 << (_W * (k - 1 - atom_index))
+    return [v + unit for v in tree[0]], [(w, a + unit, b + unit) for w, a, b in tree[1]]
 
 
-def _translate(tree: WeightedTree, atom_index: int, k: int) -> tuple[list[Vector], list[Edge]]:
-    """Image of a memoized tree under the shift adding one copy of atom i.
-
-    The shift translates both endpoints of every edge by the same unit vector,
-    so weights (and the sort order of the edge list) are preserved.
-    """
-    unit = tuple(1 if j == atom_index else 0 for j in range(k))
-    vertices = [vadd(v, unit) for v in tree.vertices]
-    edges = [(w, vadd(a, unit), vadd(b, unit)) for (w, a, b) in tree.edges]
-    return vertices, edges
-
-
-def _disjoint_pairs(vertices: tuple[Vector, ...]) -> list[Edge]:
-    """Edges between the factorizations with disjoint supports, sorted by weight."""
-    by_support: dict[int, list[Vector]] = {}
+def _disjoint_pairs(vertices: list[int], k: int) -> list[tuple[int, int, int]]:
+    """Code edges between the factorizations with disjoint supports, weighted max(|z|, |w|)."""
+    by_support: dict[int, list[tuple[int, int]]] = {}
     for v in vertices:
-        if 0 in v:  # a factorization that uses every atom has no partner
-            mask = sum(1 << i for i, c in enumerate(v) if c)
-            by_support.setdefault(mask, []).append(v)
+        z = _unpack(v, k)
+        if 0 in z:  # a factorization that uses every atom has no partner
+            mask = sum(1 << i for i, c in enumerate(z) if c)
+            by_support.setdefault(mask, []).append((v, sum(z)))
     masks = list(by_support)
-    edges = [
-        _edge(z, w)
+    return [
+        (max(lz, lw), z, w) if z < w else (max(lz, lw), w, z)
         for i, m in enumerate(masks)
         for n in masks[i + 1 :]
         if not m & n
-        for z in by_support[m]
-        for w in by_support[n]
+        for z, lz in by_support[m]
+        for w, lw in by_support[n]
     ]
-    edges.sort()
-    return edges
 
 
-def _build_tree(k: int, children: list[tuple[int, WeightedTree]]) -> WeightedTree:
+def _build_tree(k: int, children: list[tuple[int, Packed]]) -> Packed:
     """Kruskal over the shifted child trees and the disjoint-support pairs.
 
-    ``children`` holds (atom index, tree of the element minus that atom) for
-    every member one atom below; with none, the element is zero and its fiber
-    is the zero vector of length ``k``.
+    ``children`` holds (atom index, packed tree of the element minus that
+    atom) for every member one atom below; with none, the element is zero and
+    its fiber is the zero vector, code 0.
     """
     if not children:
-        return WeightedTree(((0,) * k,), ())
-    vertex_set: set[Vector] = set()
-    edge_lists: list[list[Edge]] = []
+        return [0], []
+    vertex_set: set[int] = set()
+    edges: list[tuple[int, int, int]] = []
     for atom_index, tree in children:
-        vertices, edges = _translate(tree, atom_index, k)
-        vertex_set.update(vertices)
-        edge_lists.append(edges)
-    vertices = tuple(sorted(vertex_set))
-    if len(vertices) == 1:
-        return WeightedTree(vertices, ())
-    edge_lists.append(_disjoint_pairs(vertices))
-    admitted = _kruskal(vertices, _merge_edges(edge_lists))
-    return WeightedTree(vertices, tuple(admitted))
+        shifted_vertices, shifted_edges = _translate(tree, atom_index, k)
+        vertex_set.update(shifted_vertices)
+        edges += shifted_edges
+    vertices = sorted(vertex_set)
+    edges += _disjoint_pairs(vertices, k)
+    edges.sort()  # Timsort merges the presorted runs
+    return vertices, _kruskal(vertices, edges)
 
 
-def _settle(S: AffineSemigroup, memo: Memo, element: Vector) -> WeightedTree | None:
-    """Record the tree of one element, or None for a non-member, in the memo.
+def _settle(S: AffineSemigroup, memo: Memo, element: Vector) -> Packed | None:
+    """Record the packed tree of one element, or None for a non-member, in the memo.
 
     Every nonnegative element - atom must be settled already.
     """
@@ -202,16 +205,8 @@ def _descent_set(S: AffineSemigroup, gamma: Vector, memo: Memo) -> list[Vector]:
     return sorted(seen, key=lambda v: (sum(v), v))
 
 
-def mwst(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> WeightedTree:
-    """A minimum-weight spanning tree of the fiber graph of gamma.
-
-    Trees for everything below gamma are built bottom-up (an explicit
-    worklist ordered by coordinate sum, so recursion depth is never an
-    issue); membership falls out of the same pass.  ``memo`` maps each
-    settled element to its tree, or to None for a non-member; pass one dict
-    to share the work across calls.  Under :func:`~sgfact.errors.step_limit`
-    every element settled is one step.
-    """
+def _packed_tree(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None) -> Packed:
+    """The packed tree of gamma, settling first every element below it not in the memo."""
     g = as_vector(gamma, S.dim)
     if memo is None:
         memo = {}
@@ -226,9 +221,28 @@ def mwst(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> W
     return tree
 
 
+def mwst(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> WeightedTree:
+    """A minimum-weight spanning tree of the fiber graph of gamma.
+
+    Trees for everything below gamma are built bottom-up (an explicit
+    worklist ordered by coordinate sum, so recursion depth is never an
+    issue); membership falls out of the same pass.  ``memo`` maps each
+    settled element to its internal packed tree, or to None for a non-member;
+    pass one dict to share the work across calls.  Only the returned tree is
+    decoded, into tuple vertices and (weight, a, b) edges.  Under
+    :func:`~sgfact.errors.step_limit` every element settled is one step.
+    """
+    k = len(S.generators)
+    vertices, edges = _packed_tree(S, gamma, memo)
+    return WeightedTree(
+        tuple(_unpack(v, k) for v in vertices),
+        tuple((w, _unpack(a, k), _unpack(b, k)) for w, a, b in edges),
+    )
+
+
 def catenary_dynamic(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> int:
     """Catenary degree via the memoized spanning-tree route; agrees with catenary_naive."""
-    return mwst(S, gamma, memo).bottleneck
+    return _bottleneck(_packed_tree(S, gamma, memo)[1])
 
 
 def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
@@ -238,7 +252,8 @@ def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
     then drops the tree of gamma - max(atom), the oldest one any later
     element recalls, so at most max(atom) trees are held.  Under
     :func:`~sgfact.errors.step_limit` every element settled, member or not,
-    is one step.
+    is one step.  An element of 2**62 or more, beyond the field width of the
+    vertex codes, raises :class:`ConstructionError`.
     """
     if S.dim != 1:
         raise UnsupportedDimensionError("ascending sweep requires a numerical semigroup")
@@ -246,13 +261,13 @@ def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
     top = max(a[0] for a in S.generators)
     memo: Memo = {}
     results: list[tuple[int, int]] = []
-    steps = 0
     for gamma in range(bound + 1):
-        steps += 1
-        if limit is not None and steps > limit:
+        if limit is not None and gamma >= limit:  # gamma + 1 elements settled
             raise ResourceLimitError(limit)
+        if gamma >= _INT_LIMIT:
+            raise ConstructionError(f"element {gamma} exceeds the supported integer range")
         tree = _settle(S, memo, (gamma,))
         memo.pop((gamma - top,), None)
         if tree is not None:
-            results.append((gamma, tree.bottleneck))
+            results.append((gamma, _bottleneck(tree[1])))
     return results

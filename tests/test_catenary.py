@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgfact import (
+    ConstructionError,
     NotInSemigroupError,
     ResourceLimitError,
     UnsupportedDimensionError,
@@ -13,8 +14,12 @@ from sgfact import (
     factorizations,
     step_limit,
 )
+from sgfact import catenary
 from sgfact.catenary import (
+    _W,
     WeightedTree,
+    _translate,
+    _unpack,
     catenary_dynamic,
     catenary_naive,
     catenary_range,
@@ -114,16 +119,48 @@ class TestTrees:
     def test_shift_preserves_weights(self, s_11_36_39):
         memo = {}
         mwst(s_11_36_39, 450, memo)
-        from sgfact.catenary import _translate
-
-        tree = memo[(439,)]
-        _, edges = _translate(tree, 0, 3)
+        _, edges = _translate(memo[(439,)], 0, 3)
         for w, a, b in edges:
-            assert dist(a, b) == w
+            assert dist(_unpack(a, 3), _unpack(b, 3)) == w
 
     def test_rejects_non_members(self):
         with pytest.raises(NotInSemigroupError):
             mwst(affine_semigroup([3, 4, 5]), 2)
+
+
+def _pack(z):
+    """The vertex code of a factorization: coordinate i in field k - 1 - i."""
+    return sum(c << (_W * (len(z) - 1 - i)) for i, c in enumerate(z))
+
+
+class TestPacked:
+    def test_round_trip_at_the_largest_coefficient(self):
+        for z in [(1, 2**62 - 1, 1), (2**62 - 1, 1, 2**62 - 1, 0), (1, 0, 2**62 - 1)]:
+            assert _unpack(_pack(z), len(z)) == z
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_code_order_is_tuple_order(self, data):
+        k = data.draw(st.integers(1, 4))
+        coefficients = st.integers(0, 2**62 - 1)
+        vectors = data.draw(st.lists(st.tuples(*[coefficients] * k), min_size=2, max_size=8))
+        assert sorted(vectors, key=_pack) == sorted(vectors)
+        assert [_unpack(_pack(z), k) for z in vectors] == vectors
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tree_spans_the_fiber_in_dimensions_one_to_three(self, data):
+        d = data.draw(st.integers(1, 3))
+        vectors = st.tuples(*[st.integers(0, 9 if d == 1 else 5)] * d).filter(any)
+        s = affine_semigroup(data.draw(st.lists(vectors, min_size=1, max_size=4)))
+        counts = st.tuples(*[st.integers(0, 3)] * len(s.generators))
+        gamma = value_of(s, data.draw(counts))
+        tree = mwst(s, gamma)
+        assert tree.vertices == factorizations(s, gamma)
+        assert len(tree.edges) == len(tree.vertices) - 1
+        for w, a, b in tree.edges:
+            assert a < b and dist(a, b) == w
+        assert tree.bottleneck == catenary_naive(s, gamma)
 
 
 class TestDynamic:
@@ -180,6 +217,12 @@ class TestRange:
     def test_rejects_higher_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             catenary_range(affine_semigroup([(1, 0), (0, 1)]), 5)
+
+    def test_rejects_elements_beyond_the_field_width(self, monkeypatch):
+        # lower the limit the guard reads, so the sweep reaches it at 50
+        monkeypatch.setattr(catenary, "_INT_LIMIT", 50)
+        with pytest.raises(ConstructionError):
+            catenary_range(affine_semigroup([3, 5]), 100)
 
     def test_final_entry(self, s_11_36_39):
         entries = dict(catenary_range(s_11_36_39, 450))

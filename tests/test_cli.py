@@ -33,6 +33,31 @@ class TestSuccess:
         path.write_text(json.dumps({"matrix": [[1, 2]], "moduli": [3]}))
         assert run(["tame", "--equations", str(path)]) == (0, "3\n")
 
+    def test_catenary_range(self):
+        argv = ["catenary-range", "--gens", "7 10 13", "--bound", "60"]
+        entries = [
+            (0, 0), (7, 0), (10, 0), (13, 0), (14, 0), (17, 0), (20, 2), (21, 0), (23, 0),
+            (24, 0), (26, 0), (27, 2), (28, 0), (30, 2), (31, 0), (33, 2), (34, 2), (35, 0),
+            (36, 0), (37, 2), (38, 0), (39, 0), (40, 2), (41, 2), (42, 0), (43, 2), (44, 2),
+            (45, 0), (46, 2), (47, 2), (48, 2), (49, 7), (50, 2), (51, 2), (52, 7), (53, 2),
+            (54, 2), (55, 2), (56, 7), (57, 2), (58, 2), (59, 7), (60, 2),
+        ]
+        assert run(argv) == (0, "".join(f"{g} {c}\n" for g, c in entries))
+        pairs = ",".join(f"[{g},{c}]" for g, c in entries)
+        assert run(argv + ["--format", "json"]) == (0, f'{{"catenary_range":[{pairs}]}}\n')
+
+    @pytest.mark.parametrize("method", ["dynamic", "naive"])
+    def test_catenary_affine(self, method):
+        argv = ["catenary", "--gens", "(1,5);(2,9);(3,3);(4,1);(7,2)", "--element", "(30,30)"]
+        argv += ["--method", method]
+        assert run(argv) == (0, "6\n")
+        assert run(argv + ["--format", "json"]) == (0, '{"catenary":6,"element":[30,30]}\n')
+
+    def test_catenary_numerical(self):
+        argv = ["catenary", "--gens", "11 36 39", "--element", "450"]
+        assert run(argv) == (0, "16\n")
+        assert run(argv + ["--format", "json"]) == (0, '{"catenary":16,"element":450}\n')
+
 
 @pytest.mark.parametrize(
     "argv, code",

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgfact import affine_semigroup, delta_of_element
 from sgfact.delta import (
@@ -129,3 +131,15 @@ class TestMethodAgreement:
         for _ in range(8):
             s = random_affine_semigroup(rng)
             assert delta_set_hilbert(s) == delta_set_grobner(s)
+
+    @given(st.lists(st.integers(2, 30), min_size=2, max_size=4, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_property_numerical(self, atoms):
+        s = affine_semigroup(atoms)
+        assert delta_set_hilbert(s) == delta_set_grobner(s)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any), min_size=2, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_property_planar(self, gens):
+        s = affine_semigroup(gens)
+        assert delta_set_hilbert(s) == delta_set_grobner(s)
