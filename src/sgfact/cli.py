@@ -2,8 +2,9 @@
 
 One subcommand per invariant; a semigroup comes from inline generators
 (``--gens``), a generators file, or an equations file describing a full
-semigroup.  Output is deterministic: plain text or compact JSON with sorted
-keys, vectors as integer arrays, every set sorted.
+semigroup, the only kind ``tame`` accepts.  Output is deterministic: plain
+text or compact JSON with sorted keys, vectors as integer arrays, every set
+sorted.
 
 ``--max-steps N`` runs the whole command under ``step_limit(N)``: every
 counting loop it starts (Graver queue, Hilbert frontier search, each
@@ -103,25 +104,24 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _semigroup_from_args(args) -> tuple[AffineSemigroup, "_tame.FullSemigroupWitness | None"]:
+def _semigroup_from_args(args) -> AffineSemigroup:
     sources = [s for s in (args.gens, args.gens_file, args.equations) if s]
     if len(sources) != 1:
         raise _UsageError("exactly one of --gens, --gens-file, --equations is required")
     if args.gens:
         text = sys.stdin.read() if args.gens == "-" else args.gens
-        return affine_semigroup(_parse_generators(text)), None
+        return affine_semigroup(_parse_generators(text))
     if args.gens_file:
         try:
             with open(args.gens_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise _UsageError(f"cannot read {args.gens_file}: {exc}") from None
-        return affine_semigroup(_parse_generators(text)), None
+        return affine_semigroup(_parse_generators(text))
     data = _load_json(args.equations)
     if "matrix" not in data or "moduli" not in data:
         raise _UsageError(f"{args.equations}: need keys 'matrix' and 'moduli'")
-    witness = _tame.full_semigroup(data["matrix"], data["moduli"])
-    return witness.semigroup, witness
+    return _tame.full_semigroup(data["matrix"], data["moduli"])
 
 
 def _scalarize(S: AffineSemigroup, vec: Vector):
@@ -181,13 +181,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("naive", "dynamic"), default="dynamic")
     p = command("catenary-range", help="catenary degrees of all elements up to a bound")
     p.add_argument("--bound", type=int, required=True)
-    p = command("tame", help="tame degree of a full semigroup")
+    p = command("tame", help="tame degree of a full semigroup (needs --equations)")
     p.add_argument("--atom-index", type=int, default=None, help="0-based: report t_i only")
-    p.add_argument(
-        "--restrict-atoms",
-        default=None,
-        help="comma-separated 0-based atom indices to max over (caller asserts exhaustiveness)",
-    )
     p = command("block-monoid", help="atoms of a block monoid over Z_m1 x ... x Z_mr")
     p.add_argument("--moduli", required=True, help="e.g. '2 2 2'")
     p.add_argument("--subset", default=None, help="group elements '(0,1);(1,1)' (default: all nonzero)")
@@ -203,8 +198,7 @@ def _run_command(args) -> str:
         except ValueError:
             raise _UsageError(f"malformed moduli {args.moduli!r}") from None
         subset = [_parse_vector(p) for p in args.subset.split(";")] if args.subset else None
-        witness = _tame.block_monoid(moduli, subset)
-        atoms = witness.semigroup.generators
+        atoms = _tame.block_monoid(moduli, subset).generators
         payload = {"atoms": [list(a) for a in atoms], "moduli": moduli}
         lines = [_format_vector(a, False) for a in atoms]
         return _emit(args, payload, lines)
@@ -227,7 +221,7 @@ def _run_command(args) -> str:
         payload = {"solutions": [list(v) for v in vectors]}
         return _emit(args, payload, [_format_vector(v, False) for v in vectors])
 
-    S, witness = _semigroup_from_args(args)
+    S = _semigroup_from_args(args)
     scalar = S.dim == 1
 
     if args.command == "factorizations":
@@ -288,18 +282,10 @@ def _run_command(args) -> str:
         return _emit(args, payload, [f"{g} {c}" for g, c in entries])
 
     if args.command == "tame":
-        if witness is None:
-            raise NotFullError("tame degree requires an --equations semigroup (full)")
         if args.atom_index is not None:
-            value = _tame.tame_i_full(witness, args.atom_index)
+            value = _tame.tame_i_full(S, args.atom_index)
         else:
-            indices = None
-            if args.restrict_atoms:
-                try:
-                    indices = [int(tok) for tok in args.restrict_atoms.replace(",", " ").split()]
-                except ValueError:
-                    raise _UsageError("--restrict-atoms takes integer indices") from None
-            value = _tame.tame_full(witness, atom_indices=indices)
+            value = _tame.tame_full(S)
         payload = {"tame": value}
         return _emit(args, payload, [str(value)])
 

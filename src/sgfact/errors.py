@@ -25,7 +25,7 @@ class NotFullError(SgfactError, ValueError):
 
 
 class UnsupportedDimensionError(SgfactError, ValueError):
-    """An operation restricted to numerical semigroups got dimension > 1."""
+    """An operation limited to numerical semigroups got dimension > 1."""
 
 
 class ResourceLimitError(SgfactError, RuntimeError):

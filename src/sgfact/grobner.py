@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AffineSemigroup, Vector, vadd, vsub
+from .core import _INT_LIMIT, AffineSemigroup, Vector, vadd, vsub
 from .errors import ConstructionError, ResourceLimitError, _step_limit
 from .hilbert import integer_kernel_basis
 
@@ -45,8 +45,9 @@ class OrderKind(Enum):
 class TermOrder:
     """A monomial order on exponent vectors of a fixed number of variables.
 
-    ``priority`` lists variable indices from most to least significant; for
-    REVLEX it lists them in tie-break order, where the smaller exponent wins.
+    ``priority`` lists variable indices from most to least significant (in
+    index order for LEX and GRLEX); for REVLEX it lists them in tie-break
+    order, where the smaller exponent wins.
     ``weights`` is the positive degree of each variable under REVLEX and
     empty otherwise.
     """
@@ -57,18 +58,12 @@ class TermOrder:
     weights: tuple[int, ...] = ()
 
     @staticmethod
-    def lex(nvars: int, priority: Sequence[int] | None = None) -> "TermOrder":
-        prio = tuple(priority) if priority is not None else tuple(range(nvars))
-        if sorted(prio) != list(range(nvars)):
-            raise ConstructionError("priority must be a permutation of the variables")
-        return TermOrder(OrderKind.LEX, nvars, prio)
+    def lex(nvars: int) -> "TermOrder":
+        return TermOrder(OrderKind.LEX, nvars, tuple(range(nvars)))
 
     @staticmethod
-    def grlex(nvars: int, priority: Sequence[int] | None = None) -> "TermOrder":
-        prio = tuple(priority) if priority is not None else tuple(range(nvars))
-        if sorted(prio) != list(range(nvars)):
-            raise ConstructionError("priority must be a permutation of the variables")
-        return TermOrder(OrderKind.GRLEX, nvars, prio)
+    def grlex(nvars: int) -> "TermOrder":
+        return TermOrder(OrderKind.GRLEX, nvars, tuple(range(nvars)))
 
     @staticmethod
     def revlex(weights: Sequence[int], last: int) -> "TermOrder":
@@ -164,11 +159,8 @@ def _lcm(a: Vector, b: Vector) -> Vector:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-_CLIP = 1 << 62
-
-
 def _clipped(exponent: Vector) -> list[int]:
-    return [e if e < _CLIP else _CLIP for e in exponent]
+    return [e if e < _INT_LIMIT else _INT_LIMIT for e in exponent]
 
 
 class _Rows:

@@ -6,11 +6,13 @@ check and the factorization vectors of a shifted ideal gamma + S are exactly
 one atom then reduces to finitely many small computations: the minimal
 solutions of A x >= atom that avoid the atom, and for each, the shortest
 factorization of its value that uses the atom.
+
+The tame functions take a plain :class:`AffineSemigroup`, whose ``equations``
+field is the one record that it is full; without it they raise ``NotFullError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .core import (
@@ -20,7 +22,6 @@ from .core import (
     affine_semigroup,
     as_matrix,
     as_vector,
-    dist,
     factorizations,
     value_of,
 )
@@ -28,28 +29,7 @@ from .errors import ConstructionError, NotFullError, NotInSemigroupError
 from .hilbert import Relation, diophantine_system, hilbert_basis, minimal_solutions
 
 
-@dataclass(frozen=True)
-class FullSemigroupWitness:
-    """A semigroup together with the congruence system proving it full.
-
-    The generator list equals the Hilbert basis of the system, which is how
-    instances are built (see :func:`full_semigroup` and :func:`block_monoid`).
-    """
-
-    semigroup: AffineSemigroup
-
-    @property
-    def system(self) -> CongruenceSystem:
-        eq = self.semigroup.equations
-        if eq is None:
-            raise NotFullError("semigroup carries no defining congruences")
-        return eq
-
-    def member(self, gamma: Vector) -> bool:
-        return all(c >= 0 for c in gamma) and self.system.satisfied_by(gamma)
-
-
-def full_semigroup(matrix, moduli) -> FullSemigroupWitness:
+def full_semigroup(matrix, moduli) -> AffineSemigroup:
     """The full semigroup {x in N^n : Bx = 0 (mod moduli)}, atoms via Hilbert basis."""
     rows = as_matrix(matrix)
     mods = as_vector(moduli)
@@ -59,10 +39,10 @@ def full_semigroup(matrix, moduli) -> FullSemigroupWitness:
     S = affine_semigroup(atoms, equations=CongruenceSystem(rows, mods))
     if S.generators != tuple(sorted(atoms)):
         raise ConstructionError("congruence Hilbert basis was not minimal")
-    return FullSemigroupWitness(S)
+    return S
 
 
-def block_monoid(moduli, subset=None) -> FullSemigroupWitness:
+def block_monoid(moduli, subset=None) -> AffineSemigroup:
     """Zero-sum sequences over a subset of Z_m1 x ... x Z_mr, as a full semigroup.
 
     ``subset`` defaults to every nonzero group element (sorted); it may not
@@ -89,28 +69,28 @@ def block_monoid(moduli, subset=None) -> FullSemigroupWitness:
     return full_semigroup(rows, mods)
 
 
-def _require_full(F: FullSemigroupWitness) -> AffineSemigroup:
-    if F.semigroup.equations is None:
-        raise NotFullError("operation requires a full semigroup (defining congruences)")
-    return F.semigroup
+def _congruences(S: AffineSemigroup) -> CongruenceSystem:
+    if S.equations is None:
+        raise NotFullError("the tame degree needs a full semigroup (defining congruences)")
+    return S.equations
 
 
-def minimals_principal_ideal(F: FullSemigroupWitness, gamma) -> tuple[Vector, ...]:
+def minimals_principal_ideal(S: AffineSemigroup, gamma) -> tuple[Vector, ...]:
     """Minimal factorization vectors of the shifted ideal gamma + S.
 
     For a full semigroup these are exactly the minimal x with A x >= gamma
     componentwise, A the atom matrix.
     """
-    S = _require_full(F)
+    system = _congruences(S)
     g = as_vector(gamma, S.dim)
-    if not F.member(g):
+    if any(c < 0 for c in g) or not system.satisfied_by(g):
         raise NotInSemigroupError(f"{gamma} is not in the semigroup")
     if not any(g):
         return ((0,) * len(S.generators),)
     return minimal_solutions(diophantine_system(S.matrix, Relation.GEQ, rhs=g))
 
 
-def tame_i_full(F: FullSemigroupWitness, atom_index: int) -> int:
+def tame_i_full(S: AffineSemigroup, atom_index: int) -> int:
     """Tame degree of a full semigroup with respect to one atom (0-based index).
 
     Minimal shifted-ideal factorizations avoiding the atom pair off against
@@ -118,38 +98,24 @@ def tame_i_full(F: FullSemigroupWitness, atom_index: int) -> int:
     all these lengths is the answer, and 0 means every minimal element
     already factors through the atom.
     """
-    S = _require_full(F)
     k = len(S.generators)
     if not 0 <= atom_index < k:
         raise ConstructionError(f"atom index {atom_index} out of range")
     atom = S.generators[atom_index]
-    candidates = [z for z in minimals_principal_ideal(F, atom) if z[atom_index] == 0]
-    if not candidates:
-        return 0
+    candidates = [z for z in minimals_principal_ideal(S, atom) if z[atom_index] == 0]
     best = 0
     for z in candidates:
         value = value_of(S, z)
         with_atom = [w for w in factorizations(S, value) if w[atom_index] > 0]
         if not with_atom:
             raise AssertionError("fullness guarantees a factorization through the atom")
+        # minimality of z forces its support to be disjoint from every such w,
+        # so dist(z, w) degenerates to max(|z|, |w|)
         shortest = min(sum(w) for w in with_atom)
-        # minimality of z forces disjoint supports, so distances degenerate
-        # to plain lengths; keep the general formula honest in debug runs
-        if __debug__:
-            for w in with_atom:
-                assert all(a == 0 or b == 0 for a, b in zip(z, w))
-                assert dist(z, w) == max(sum(z), sum(w))
         best = max(best, sum(z), shortest)
     return best
 
 
-def tame_full(F: FullSemigroupWitness, *, atom_indices=None) -> int:
-    """Tame degree of a full semigroup: the largest per-atom tame degree.
-
-    ``atom_indices`` optionally restricts the computation to those atoms; the
-    caller is responsible for the restriction being exhaustive.
-    """
-    S = _require_full(F)
-    indices = range(len(S.generators)) if atom_indices is None else atom_indices
-    return max((tame_i_full(F, i) for i in indices), default=0)
-
+def tame_full(S: AffineSemigroup) -> int:
+    """Tame degree of a full semigroup: the largest per-atom tame degree."""
+    return max((tame_i_full(S, i) for i in range(len(S.generators))), default=0)

@@ -53,6 +53,65 @@ class TestSuccess:
         assert run(argv) == (0, "6\n")
         assert run(argv + ["--format", "json"]) == (0, '{"catenary":6,"element":[30,30]}\n')
 
+    @pytest.mark.parametrize(
+        "command, plain, json_out",
+        [
+            ("factorizations", "(0,3,0)\n(1,1,1)\n(4,0,0)\n",
+             '{"element":12,"factorizations":[[0,3,0],[1,1,1],[4,0,0]]}\n'),
+            ("length-set", "3 4\n", '{"element":12,"length_set":[3,4]}\n'),
+            ("delta-element", "1\n", '{"delta":[1],"element":12}\n'),
+        ],
+    )
+    def test_element_queries(self, command, plain, json_out):
+        argv = [command, "--gens", "3 4 5", "--element", "12"]
+        assert run(argv) == (0, plain)
+        assert run(argv + ["--format", "json"]) == (0, json_out)
+
+    def test_betti(self):
+        argv = ["betti", "--gens", "3 4 5"]
+        assert run(argv) == (0, "8\n9\n10\n")
+        assert run(argv + ["--format", "json"]) == (0, '{"betti_elements":[8,9,10]}\n')
+
+    def test_graver(self):
+        argv = ["graver", "--gens", "3 4 5"]
+        assert run(argv) == (
+            0,
+            "(0,5,0) (0,0,4)\n(1,0,1) (0,2,0)\n(1,3,0) (0,0,3)\n(2,1,0) (0,0,2)\n"
+            "(3,0,0) (0,1,1)\n(4,0,0) (0,3,0)\n(5,0,0) (0,0,3)\n",
+        )
+        assert run(argv + ["--format", "json"]) == (
+            0,
+            '{"pairs":[[[0,5,0],[0,0,4]],[[1,0,1],[0,2,0]],[[1,3,0],[0,0,3]],[[2,1,0],[0,0,2]],'
+            '[[3,0,0],[0,1,1]],[[4,0,0],[0,3,0]],[[5,0,0],[0,0,3]]]}\n',
+        )
+
+    def test_block_monoid(self):
+        argv = ["block-monoid", "--moduli", "3"]
+        assert run(argv) == (0, "(0,3)\n(1,1)\n(3,0)\n")
+        assert run(argv + ["--format", "json"]) == (
+            0,
+            '{"atoms":[[0,3],[1,1],[3,0]],"moduli":[3]}\n',
+        )
+
+    def test_hilbert(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"matrix": [[1, 1, -2]]}))
+        argv = ["hilbert", "--system", str(path)]
+        assert run(argv) == (0, "(0,2,1)\n(1,1,1)\n(2,0,1)\n")
+        assert run(argv + ["--format", "json"]) == (
+            0,
+            '{"solutions":[[0,2,1],[1,1,1],[2,0,1]]}\n',
+        )
+
+    @pytest.mark.parametrize("extra", [[], ["--atom-index", "3"]])
+    def test_tame_full_semigroup(self, extra, tmp_path):
+        # a full semigroup that is not a block monoid; tame degree 6
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"matrix": [[1, -1, 0], [0, 1, -1]], "moduli": [2, 3]}))
+        argv = ["tame", "--equations", str(path)] + extra
+        assert run(argv) == (0, "6\n")
+        assert run(argv + ["--format", "json"]) == (0, '{"tame":6}\n')
+
     def test_catenary_numerical(self):
         argv = ["catenary", "--gens", "11 36 39", "--element", "450"]
         assert run(argv) == (0, "16\n")
@@ -88,6 +147,9 @@ class TestSuccess:
         # the catenary sweep counts its own steps, however large the bound
         (["catenary-range", "--gens", "3 5", "--bound", "10", "--max-steps", "0"], 4),
         (["catenary-range", "--gens", "3 5", "--bound", str(10**20), "--max-steps", "10"], 4),
+        # the tame degree needs a full semigroup, and atoms cannot be left out
+        (["tame", "--gens", "3 5"], 3),
+        (["tame", "--equations", "{tmp}/full.json", "--restrict-atoms", "0,1"], 2),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):
@@ -100,6 +162,7 @@ def test_error_exit_codes(argv, code, capsys, tmp_path):
         "modulus": {"matrix": [[1, 2]], "moduli": [2.7]},
         "scalar": {"matrix": 5},
         "null": {"matrix": None, "moduli": [3]},
+        "full": {"matrix": [[1, -1, 0], [0, 1, -1]], "moduli": [2, 3]},
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

@@ -3,26 +3,79 @@ from itertools import combinations_with_replacement
 import pytest
 
 from sgfact import NotFullError, affine_semigroup
-from sgfact.tame import FullSemigroupWitness, block_monoid, tame_full
+from sgfact.core import dist, factorizations, value_of
+from sgfact.tame import block_monoid, full_semigroup, minimals_principal_ideal, tame_full
 
 from oracles import tame_of_element
 
+# full semigroups that are not block monoids, as (matrix, moduli)
+MIXED = ([[1, -1, 0], [0, 1, -1]], [2, 3])  # tame degree 6
+EQUAL = ([[1, 1, -2]], [0])  # x + y = 2z over N; tame degree 2
+
+
+def _largest_element_tame(gens, max_atoms):
+    """The largest element tame degree over every sum of at most ``max_atoms`` atoms."""
+    elements = {
+        tuple(map(sum, zip(*atoms)))
+        for r in range(1, max_atoms + 1)
+        for atoms in combinations_with_replacement(gens, r)
+    }
+    return max(tame_of_element(gens, gamma) for gamma in elements)
+
 
 def test_witness_without_congruences_is_not_full():
-    witness = FullSemigroupWitness(affine_semigroup([2, 3]))
     with pytest.raises(NotFullError):
-        witness.member((5,))
+        tame_full(affine_semigroup([2, 3]))
 
 
 @pytest.mark.parametrize("moduli, expected", [((3,), 3), ((2, 2), 3), ((4,), 4)])
 def test_block_monoid_matches_definition(moduli, expected):
     # C3, C2^2 and C4; every element that is a sum of at most 4 atoms
-    F = block_monoid(moduli)
-    gens = F.semigroup.generators
-    assert tame_full(F) == expected
-    elements = {
-        tuple(map(sum, zip(*atoms)))
-        for r in range(1, 5)
-        for atoms in combinations_with_replacement(gens, r)
-    }
-    assert max(tame_of_element(gens, gamma) for gamma in elements) == expected
+    S = block_monoid(moduli)
+    assert tame_full(S) == expected
+    assert _largest_element_tame(S.generators, 4) == expected
+
+
+@pytest.mark.parametrize(
+    "system, expected, max_atoms",
+    [
+        # sums of at most 4 atoms reach only 4 here, so the sweep needs 6
+        (MIXED, 6, 6),
+        (EQUAL, 2, 4),
+    ],
+)
+def test_full_semigroup_matches_definition(system, expected, max_atoms):
+    S = full_semigroup(*system)
+    assert tame_full(S) == expected
+    assert _largest_element_tame(S.generators, max_atoms) == expected
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (block_monoid, [(3,)]),
+        (block_monoid, [(2, 2)]),
+        (block_monoid, [(4,)]),
+        (block_monoid, [(5,)]),
+        (full_semigroup, MIXED),
+        (full_semigroup, EQUAL),
+    ],
+    ids=["C3", "C2^2", "C4", "C5", "mixed", "equal"],
+)
+def test_minimal_candidates_have_disjoint_supports(build, args):
+    # tame_i_full weighs a minimal z avoiding atom i against a factorization
+    # w through the atom by max(|z|, |w|); that is dist(z, w) only when the
+    # supports are disjoint, which the minimality of z guarantees
+    S = build(*args)
+    checked = 0
+    for i, atom in enumerate(S.generators):
+        for z in minimals_principal_ideal(S, atom):
+            if z[i]:
+                continue
+            for w in factorizations(S, value_of(S, z)):
+                if w[i] == 0:
+                    continue
+                assert all(a == 0 or b == 0 for a, b in zip(z, w)), (z, w)
+                assert dist(z, w) == max(sum(z), sum(w)), (z, w)
+                checked += 1
+    assert checked
