@@ -1,22 +1,23 @@
 """Whole-semigroup delta sets, by two independent routes.
 
-The chain route tracks the ascending ideals generated by kernel binomials
-with bounded length gap: a gap value j joins the delta set exactly when the
-slack-j generators escape the previous ideal.  The generators come from the
-minimal elements of the doubled slack system, which, dropping the trivial
-diagonal solutions whose binomials vanish, are exactly the primitive kernel
-vectors of the generator matrix bucketed by length gap.
+Both routes start from the length-homogenized semigroup, generated by (1, 0)
+and (1, a) for every atom a.  A kernel vector (x_0, v) of its matrix is a
+kernel vector v of the atom matrix with x_0 = |v-| - |v+|, so the extra
+coordinate records, negated, the length gap of the pair of factorizations
+that v joins.
+
+The chain route tracks the ascending ideals generated by the Graver binomials
+of the homogenized semigroup, bucketed by that gap: a gap j joins the delta
+set exactly when some gap-j binomial escapes the ideal of the smaller gaps.
 
 The homogenization route reads the delta set off the exponents of the extra
 variable in a reduced lex Groebner basis for the defining ideal of the
-length-homogenized semigroup.
+homogenized semigroup.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .core import AffineSemigroup, affine_semigroup, delta_of_element, value_of
+from .core import AffineSemigroup, affine_semigroup
 from .errors import ConstructionError
 from .grobner import (
     TermOrder,
@@ -27,75 +28,67 @@ from .grobner import (
     reduce_basis,
     toric_ideal,
 )
-from .hilbert import primitive_kernel_vectors
-from .presentation import minimal_presentation
+from .hilbert import graver_basis
 
 
 def homogenize(S: AffineSemigroup) -> AffineSemigroup:
     """The semigroup generated by (1,0) and (1, atom) for every atom, one dimension up.
 
     All generators share first coordinate 1, so they are automatically the
-    minimal generating set, and sorting puts the extra generator (1, 0...) first.
+    minimal generating set, and sorting puts the extra generator (1, 0...) first
+    and keeps the atoms of S, already sorted, in their order after it.
     """
     gens = [(1,) + (0,) * S.dim] + [(1,) + atom for atom in S.generators]
     return affine_semigroup(gens)
 
 
 def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:
-    """Generators of the chain ideals, bucketed by length gap.
+    """Graver binomials of the atom matrix, bucketed by length gap.
 
-    These are the nontrivial minimal solutions (z, w, s) of the doubled slack
-    system {Az = Aw, |z| - |w| = s}; under (z, w, s) -> (z - w, s) they are
-    exactly the primitive kernel vectors of the atom matrix extended by a
-    zero-padded length row [1 .. 1 | -1].  The slack coordinate must take
-    part in the minimality order: a kernel pair can be conformally reducible
-    in the plain kernel only through parts with a larger gap, and such pairs
-    are still needed as generators.
+    Each Graver pair (z, w) of the homogenized semigroup gives the binomial of
+    z[1:] and w[1:] with gap |z_0 - w_0|.  The homogenizing coordinate must
+    take part in the minimality order: a kernel pair can be conformally
+    reducible in the plain kernel only through parts with a larger gap, and
+    such pairs are still needed as generators.
     """
-    k = len(S.generators)
-    order = TermOrder.grlex(k)
-    slack_matrix = [row + (0,) for row in S.matrix]
-    slack_matrix.append((1,) * k + (-1,))
+    order = TermOrder.grlex(len(S.generators))
     buckets: dict[int, list] = {}
-    for x in primitive_kernel_vectors(slack_matrix):
-        v = x[:k] if x[k] >= 0 else tuple(-c for c in x[:k])
-        plus = tuple(c if c > 0 else 0 for c in v)
-        minus = tuple(-c if c < 0 else 0 for c in v)
-        buckets.setdefault(abs(x[k]), []).append(binomial(plus, minus, order))
+    for z, w in graver_basis(homogenize(S)):
+        buckets.setdefault(abs(z[0] - w[0]), []).append(binomial(z[1:], w[1:], order))
     return buckets
 
 
 def delta_set_hilbert(S: AffineSemigroup) -> tuple[int, ...]:
     """The delta set, by the ascending-chain route.
 
-    Seed with the element-level delta sets at the Betti values (these pin the
-    minimum gcd and the maximum); then walk j through the multiples of the
-    minimum, adding j whenever some gap-j kernel binomial has a nonzero
-    normal form against the current basis.  Half-factorial input (empty seed)
-    short-circuits to the empty set.
+    Start from a Groebner basis of the gap-0 binomials; walk the positive gaps
+    in ascending order, report j when some gap-j binomial has a nonzero normal
+    form against the current basis, and then extend the basis by that bucket.
+    The test is exact at every j > 0:
+
+    1. A Graver decomposition is conformal in the gap too, so the buckets of
+       gap at most j generate the ideal of all pairs of factorizations whose
+       lengths differ by at most j.
+    2. A binomial x^a - x^b lies in the ideal of a set of moves iff moves
+       from the set join a and b inside N^k (Diaconis-Sturmfels, "Algebraic
+       algorithms for sampling from conditional distributions", Ann. Statist.
+       1998).  So a pair lies in the ideal of the gaps below j iff moves of
+       gap below j join it.
+    3. If a gap-j pair (a, b) of some element n escapes, no length of n lies
+       strictly between |b| and |a|: such a factorization would be joined to
+       both a and b.  So j is in the delta set of n.
+    4. If j is in the delta set of n through consecutive lengths, no path
+       with steps of gap below j crosses the empty interval between them, so
+       some gap-j generator escapes.
     """
-    presentation = minimal_presentation(S)
-    seed: set[int] = set()
-    for z, _ in presentation:
-        seed.update(delta_of_element(S, value_of(S, z)))
-    if not seed:
-        return ()
-    step = 0
-    for value in seed:
-        step = gcd(step, value)
-    top = max(seed)
-    # the gcd itself is the minimum of the delta set even when no Betti value
-    # exhibits it directly
-    found = set(seed) | {step}
     buckets = _gap_buckets(S)
-    order = TermOrder.grlex(len(S.generators))
-    basis = buchberger(buckets.get(0, []) + buckets.get(step, []), order)
-    for j in range(2 * step, top - step + 1, step):
-        gens = buckets.get(j, [])
+    basis = buchberger(buckets.pop(0, []), TermOrder.grlex(len(S.generators)))
+    found = []
+    for j, gens in sorted(buckets.items()):
         if any(not normal_form(b, basis).is_zero for b in gens):
-            found.add(j)
+            found.append(j)
             basis = buchberger_extend(basis, gens)
-    return tuple(sorted(found))
+    return tuple(found)
 
 
 def delta_set_grobner(S: AffineSemigroup) -> tuple[int, ...]:
@@ -122,4 +115,3 @@ def delta_set_grobner(S: AffineSemigroup) -> tuple[int, ...]:
                 )
             out.add(j)
     return tuple(sorted(out))
-

@@ -144,7 +144,6 @@ def binomial(a: Vector, b: Vector, order: TermOrder) -> Binomial:
 class BinomialIdealBasis:
     binomials: tuple[Binomial, ...]
     order: TermOrder
-    reduced: bool = False
 
     @cached_property
     def _index(self) -> "_LeadIndex":
@@ -384,7 +383,7 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
     for i, b in enumerate(minimal):
         minimal[i] = normal_form(b, view, _skip=i)
     minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
-    return BinomialIdealBasis(tuple(minimal), order, reduced=True)
+    return BinomialIdealBasis(tuple(minimal), order)
 
 
 def toric_ideal(S: AffineSemigroup) -> BinomialIdealBasis:

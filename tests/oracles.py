@@ -4,13 +4,16 @@ Everything here enumerates boxes with itertools and checks definitions
 directly, or runs the plain textbook loop; none of it shares code with the
 search engines it is used to verify beyond the binomial and term-order types.
 The one exception, ``delta_bounds``, derives a cheap bracket of the delta set
-from the public presentation and element-delta functions.
+from the public presentation and element-delta functions.  ``cpu_limit`` is
+no oracle but a guard the test modules share.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import signal
+from contextlib import contextmanager
 from itertools import count, product
 from math import gcd
 
@@ -18,6 +21,22 @@ from sgfact import AffineSemigroup, affine_semigroup, delta_of_element
 from sgfact.core import value_of
 from sgfact.grobner import Binomial
 from sgfact.presentation import minimal_presentation
+
+
+@contextmanager
+def cpu_limit(seconds):
+    """Fail with TimeoutError, instead of running on, once the block has used ``seconds`` of CPU."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"more than {seconds} s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def brute_factorizations(gens, gamma):

@@ -1,6 +1,3 @@
-import signal
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,26 +15,11 @@ from sgfact import (
 
 from oracles import (
     brute_factorizations,
+    cpu_limit,
     decomposes_over,
     numerical_atoms,
     numerical_members,
 )
-
-
-@contextmanager
-def cpu_limit(seconds):
-    """Fail with TimeoutError, instead of running on, once the block has used ``seconds`` of CPU."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"more than {seconds} s of CPU")
-
-    previous = signal.signal(signal.SIGPROF, expire)
-    signal.setitimer(signal.ITIMER_PROF, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, previous)
 
 
 class TestConstruction:

@@ -12,9 +12,10 @@ from sgfact.delta import (
     delta_set_hilbert,
     homogenize,
 )
-from sgfact.grobner import BinomialIdealBasis, TermOrder, buchberger, normal_form
+from sgfact.grobner import BinomialIdealBasis, TermOrder, binomial, buchberger, normal_form
+from sgfact.hilbert import primitive_kernel_vectors
 
-from oracles import delta_bounds, random_affine_semigroup, random_numerical_semigroup
+from oracles import cpu_limit, delta_bounds, random_affine_semigroup, random_numerical_semigroup
 
 
 def _chain_state(S) -> tuple[tuple[int, ...], BinomialIdealBasis, dict[int, list]]:
@@ -65,6 +66,46 @@ class TestKnownDeltaSets:
         # plain primitive kernel vectors misses them
         s = affine_semigroup([(0, 1), (4, 8), (5, 2), (6, 5)])
         assert method(s) == (1, 2, 3, 4, 5, 9, 13)
+
+    def test_two_large_atoms(self, method):
+        # the only factorization pair of 1000003 * 1000033 is 10^6 atoms
+        # apart; a route that enumerates that fiber tries every multiplicity
+        with cpu_limit(1):
+            assert method(affine_semigroup([1000003, 1000033])) == (30,)
+
+
+def _slack_buckets(S) -> dict[int, list]:
+    """The gap buckets from the Graver basis of the atom matrix extended by a
+    zero-padded length row [1 .. 1 | -1], whose last coordinate is the gap."""
+    k = len(S.generators)
+    order = TermOrder.grlex(k)
+    slack_matrix = [row + (0,) for row in S.matrix]
+    slack_matrix.append((1,) * k + (-1,))
+    buckets: dict[int, list] = {}
+    for x in primitive_kernel_vectors(slack_matrix):
+        v = x[:k] if x[k] >= 0 else tuple(-c for c in x[:k])
+        plus = tuple(c if c > 0 else 0 for c in v)
+        minus = tuple(-c if c < 0 else 0 for c in v)
+        buckets.setdefault(abs(x[k]), []).append(binomial(plus, minus, order))
+    return buckets
+
+
+class TestGapBuckets:
+    @staticmethod
+    def _pairs(buckets):
+        return {j: sorted((b.plus, b.minus) for b in gens) for j, gens in buckets.items()}
+
+    def test_match_slack_matrix_numerical(self):
+        rng = random.Random(4242)
+        for _ in range(25):
+            s = random_numerical_semigroup(rng, k_max=4, atom_max=40)
+            assert self._pairs(_gap_buckets(s)) == self._pairs(_slack_buckets(s)), s
+
+    def test_match_slack_matrix_planar(self):
+        rng = random.Random(2424)
+        for _ in range(25):
+            s = random_affine_semigroup(rng, k_max=5, entry_max=6)
+            assert self._pairs(_gap_buckets(s)) == self._pairs(_slack_buckets(s)), s
 
 
 class TestStructure:

@@ -11,6 +11,11 @@ from oracles import tame_of_element
 # full semigroups that are not block monoids, as (matrix, moduli)
 MIXED = ([[1, -1, 0], [0, 1, -1]], [2, 3])  # tame degree 6
 EQUAL = ([[1, 1, -2]], [0])  # x + y = 2z over N; tame degree 2
+# tame degree 5; without the |z| term of tame_i_full it comes out 4
+LONG_MINIMAL = ([[-1, -1], [3, 0]], [5, 2])
+# tame degree 6; without the shortest factorization through the atom it comes
+# out 5, and with the longest one instead 7
+SHORTEST_THROUGH_ATOM = ([[2, 3, 1]], [5])
 
 
 def _largest_element_tame(gens, max_atoms):
@@ -42,6 +47,8 @@ def test_block_monoid_matches_definition(moduli, expected):
         # sums of at most 4 atoms reach only 4 here, so the sweep needs 6
         (MIXED, 6, 6),
         (EQUAL, 2, 4),
+        (LONG_MINIMAL, 5, 3),
+        (SHORTEST_THROUGH_ATOM, 6, 4),
     ],
 )
 def test_full_semigroup_matches_definition(system, expected, max_atoms):
@@ -59,8 +66,10 @@ def test_full_semigroup_matches_definition(system, expected, max_atoms):
         (block_monoid, [(5,)]),
         (full_semigroup, MIXED),
         (full_semigroup, EQUAL),
+        (full_semigroup, LONG_MINIMAL),
+        (full_semigroup, SHORTEST_THROUGH_ATOM),
     ],
-    ids=["C3", "C2^2", "C4", "C5", "mixed", "equal"],
+    ids=["C3", "C2^2", "C4", "C5", "mixed", "equal", "long-minimal", "shortest-through-atom"],
 )
 def test_minimal_candidates_have_disjoint_supports(build, args):
     # tame_i_full weighs a minimal z avoiding atom i against a factorization
