@@ -43,7 +43,7 @@ def homogenize(S: AffineSemigroup) -> AffineSemigroup:
 
 
 def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:
-    """Graver binomials of the atom matrix, bucketed by length gap.
+    """Graver pairs of the homogenized semigroup, projected to the atoms and bucketed by gap.
 
     Each Graver pair (z, w) of the homogenized semigroup gives the binomial of
     z[1:] and w[1:] with gap |z_0 - w_0|.  The homogenizing coordinate must

@@ -2,9 +2,10 @@
 
 Two search engines back the public operations:
 
-* a completion procedure over an integer kernel lattice that computes all
+* project-and-lift over an integer kernel lattice, which computes all
   primitive (conformally minimal) kernel vectors — the Graver basis of a
-  matrix — by repeatedly summing known vectors and reducing sign-compatibly;
+  matrix — one leading coordinate at a time, completing on each longer
+  prefix only the pairs whose sum can be new there;
 * a breadth-first frontier search for minimal nonnegative solutions of
   equality/inequality systems, growing candidate vectors one unit at a time
   and only in directions that shrink the current constraint violation.
@@ -85,37 +86,41 @@ def diophantine_system(
 # integer kernel lattices and primitive vectors
 
 
+def _pivot(rows: list[list[int]], col: int) -> list[int] | None:
+    """Euclid's algorithm on one coordinate, until at most one row is nonzero there.
+
+    That row, if any, is removed from ``rows`` and returned; the order of the
+    other rows is kept.
+    """
+    while len(nonzero := [r for r in rows if r[col]]) > 1:
+        pivot = min(nonzero, key=lambda r: abs(r[col]))
+        for r in nonzero:
+            if r is not pivot:
+                q = r[col] // pivot[col]
+                r[:] = [a - q * b for a, b in zip(r, pivot)]
+    if not nonzero:
+        return None
+    rows.remove(nonzero[0])
+    return nonzero[0]
+
+
 def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
-    """A lattice basis of {v in Z^n : Mv = 0}, via column reduction with exact ints."""
+    """A lattice basis of {v in Z^n : Mv = 0}, via column reduction with exact ints.
+
+    Each column of M carries the unit vector that records it; once every
+    row is pivoted out, the columns left are zero and their records span
+    the kernel.
+    """
     rows = [list(r) for r in matrix]
     if not rows:
         return []
-    n = len(rows[0])
-    cols = [[rows[i][j] for i in range(len(rows))] for j in range(n)]
-    unimod = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    active = list(range(n))
-    for i in range(len(rows)):
-        while True:
-            nonzero = [j for j in active if cols[j][i] != 0]
-            if len(nonzero) <= 1:
-                break
-            j0 = min(nonzero, key=lambda j: abs(cols[j][i]))
-            for j in nonzero:
-                if j == j0:
-                    continue
-                q = cols[j][i] // cols[j0][i]
-                if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[j0])]
-                    unimod[j] = [a - q * b for a, b in zip(unimod[j], unimod[j0])]
-        nonzero = [j for j in active if cols[j][i] != 0]
-        if nonzero:
-            active.remove(nonzero[0])
-    basis = []
-    for j in active:
-        if any(cols[j]):
-            raise AssertionError("column reduction left a nonzero kernel column")
-        basis.append(tuple(unimod[j]))
-    return basis
+    m, n = len(rows), len(rows[0])
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    for i in range(m):
+        _pivot(cols, i)
+    if any(any(c[:m]) for c in cols):
+        raise AssertionError("column reduction left a nonzero kernel column")
+    return [tuple(c[m:]) for c in cols]
 
 
 def _guard(arr: np.ndarray) -> np.ndarray:
@@ -124,134 +129,164 @@ def _guard(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _sign_compatible(g: Vector, s: Vector) -> bool:
-    return all(a * b >= 0 for a, b in zip(g, s))
+def _multiple(g: Vector, s: Vector) -> int:
+    """The k of largest |k| with k*g sign-compatible with s and |k*g| <= |s|, or 0.
+
+    Coordinates past the shorter of g and s are not looked at.
+    """
+    sign = k = 0
+    for a, b in zip(g, s):
+        if a:
+            q = abs(b) // abs(a)
+            if not q:
+                return 0
+            same = (a > 0) == (b > 0)
+            if not sign:
+                sign, k = (1 if same else -1), q
+            elif (sign > 0) != same:
+                return 0
+            elif q < k:
+                k = q
+    return sign * k
 
 
 class _KernelStore:
-    """Growing set of kernel vectors with fast conformal-reduction lookups."""
+    """Growing set of kernel vectors with conformal-reduction lookups on a prefix.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.mat = np.zeros((64, n), dtype=np.int64)
-        self.abs = np.zeros((64, n), dtype=np.int64)
+    Vectors are kept whole, one per sign pair with first nonzero entry
+    positive; ``width`` is the number of leading coordinates that reduction
+    and the pair rule look at, and only those prefixes go into the int64
+    array.  Every vector is guarded on entry: reduction shrinks only the
+    prefix, so the other coordinates of a normal form can outgrow the sum's.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.heads = np.zeros((64, width), dtype=np.int64)
         self.tuples: list[Vector] = []
-        self.count = 0
 
     def add(self, vec: Vector) -> None:
-        if self.count == len(self.mat):
-            self.mat = np.vstack([self.mat, np.zeros_like(self.mat)])
-            self.abs = np.vstack([self.abs, np.zeros_like(self.abs)])
-        arr = np.array(vec, dtype=np.int64)
-        self.mat[self.count] = arr
-        self.abs[self.count] = np.abs(arr)
+        _guard(np.array(vec, dtype=object))
+        if len(self.tuples) == len(self.heads):
+            self.heads = np.vstack([self.heads, np.zeros_like(self.heads)])
+        self.heads[len(self.tuples)] = vec[: self.width]
         self.tuples.append(vec)
-        self.count += 1
+
+    def fitting(self, s: Vector) -> list[int]:
+        """Indices of the stored vectors whose prefix lies under |s| coordinatewise."""
+        heads = np.abs(self.heads[: len(self.tuples)])
+        return np.flatnonzero((heads <= np.abs(np.array(s[: self.width]))).all(axis=1)).tolist()
 
     def reduce(self, s: Vector) -> Vector:
-        """Sign-compatible reduction of s by stored vectors (either sign) to a normal form."""
-        while any(s):
-            abs_s = np.abs(np.array(s, dtype=np.int64))
-            fits = np.flatnonzero((self.abs[: self.count] <= abs_s).all(axis=1))
-            hit = None
-            for idx in fits:
-                g = self.tuples[idx]
-                if _sign_compatible(g, s):
-                    hit = g
+        """Sign-compatible reduction of s on the prefix, by stored vectors of either sign.
+
+        One pass over the stored vectors that fit under |s| suffices: s only
+        shrinks conformally, so a vector that cannot reduce s now never can,
+        and each reducer is subtracted as often as it fits.
+        """
+        head = s[: self.width]
+        if not any(head):
+            return s
+        for idx in self.fitting(s):
+            g = self.tuples[idx]
+            k = _multiple(g, head)
+            if k:
+                s = tuple(a - k * b for a, b in zip(s, g))
+                head = s[: self.width]
+                if not any(head):
                     break
-                if _sign_compatible(tuple(-c for c in g), s):
-                    hit = tuple(-c for c in g)
-                    break
-            if hit is None:
-                break
-            s = tuple(a - b for a, b in zip(s, hit))
         return s
 
 
-def primitive_kernel_vectors(matrix: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """All conformally minimal nonzero kernel vectors of the matrix, one per sign pair.
+def _lift(vectors: list[Vector], store: _KernelStore, steps: int, limit: int | None) -> int:
+    """Complete ``vectors`` into ``store`` on its prefix; return the running step count.
 
-    This is the Graver basis of the matrix.  Completion: start from a lattice
-    basis, keep normal forms of pairwise sums under sign-compatible reduction,
-    and finally discard anything still reducible by another survivor.  Sums of
-    sign-compatible pairs reduce trivially and are never enqueued; duplicate
-    sums are processed once.  Under :func:`~sgfact.errors.step_limit` every
-    vector taken off the queue is one step.
+    The vectors must have the positive sum property on one coordinate fewer
+    than the store's width: every lattice vector is a sum of them (and their
+    negatives) sign-compatible with it there, up to a multiple of a vector
+    that is zero there.  Only pairs sign-compatible on that shorter prefix
+    and of opposite sign at the new coordinate are completed.
     """
-    limit = _step_limit.get()
-    basis = integer_kernel_basis(matrix)
-    if not basis:
-        return ()
-    n = len(basis[0])
-    store = _KernelStore(n)
+    last = store.width - 1
     counter = itertools.count()
     queue: list[tuple[int, int, Vector]] = []
     seen: set[Vector] = set()
 
-    def enqueue_pairs(vec: Vector) -> None:
-        if not store.count:
-            return
-        arr = np.array(vec, dtype=np.int64)
-        old = store.mat[: store.count]
-        pos, neg = arr > 0, arr < 0
-        conflict_plus = ((old < 0) & pos).any(axis=1) | ((old > 0) & neg).any(axis=1)
-        conflict_minus = ((old > 0) & pos).any(axis=1) | ((old < 0) & neg).any(axis=1)
-        sums_plus = _guard(old + arr)
-        sums_minus = _guard(old - arr)
-        norms_plus = np.abs(sums_plus).sum(axis=1)
-        norms_minus = np.abs(sums_minus).sum(axis=1)
-        for idx in np.flatnonzero(conflict_plus):
-            entry = tuple(int(c) for c in sums_plus[idx])
-            if any(entry) and entry not in seen:
-                seen.add(entry)
-                heapq.heappush(queue, (int(norms_plus[idx]), next(counter), entry))
-        for idx in np.flatnonzero(conflict_minus):
-            entry = tuple(int(c) for c in sums_minus[idx])
-            if any(entry) and entry not in seen:
-                seen.add(entry)
-                heapq.heappush(queue, (int(norms_minus[idx]), next(counter), entry))
-
     def admit(vec: Vector) -> None:
-        canon = vec if _first_nonzero_positive(vec) else tuple(-c for c in vec)
-        enqueue_pairs(canon)
-        store.add(canon)
+        if next(c for c in vec if c) < 0:
+            vec = tuple(-c for c in vec)
+        signs = np.sign(store.heads[: len(store.tuples)]) * np.sign(vec[: store.width])
+        store.add(vec)
+        if not vec[last]:
+            return
+        plus = (signs[:, last] < 0) & (signs[:, :last] >= 0).all(axis=1)
+        minus = (signs[:, last] > 0) & (signs[:, :last] <= 0).all(axis=1)
+        for sign, rows in ((1, plus), (-1, minus)):
+            for idx in np.flatnonzero(rows).tolist():
+                s = tuple(a + sign * b for a, b in zip(store.tuples[idx], vec))
+                if s not in seen:
+                    seen.add(s)
+                    heapq.heappush(queue, (sum(map(abs, s[: store.width])), next(counter), s))
 
-    for b in basis:
-        red = store.reduce(b)
-        if any(red):
+    for vec in sorted(vectors, key=lambda v: sum(map(abs, v[: store.width]))):
+        red = store.reduce(vec)
+        if any(red[: store.width]):
             admit(red)
-
-    steps = 0
     while queue:
         _, _, s = heapq.heappop(queue)
         steps += 1
         if limit is not None and steps > limit:
             raise ResourceLimitError(limit)
         red = store.reduce(s)
-        if any(red):
+        if any(red[: store.width]):
             admit(red)
-
-    # completion can retain reducible vectors; keep only the primitive ones
-    keep = []
-    for idx, vec in enumerate(store.tuples):
-        fits = (store.abs[: store.count] <= store.abs[idx]).all(axis=1)
-        fits[idx] = False
-        reducible = False
-        for c in np.flatnonzero(fits):
-            g = store.tuples[c]
-            if _sign_compatible(g, vec) or _sign_compatible(tuple(-x for x in g), vec):
-                reducible = True
-                break
-        if not reducible:
-            keep.append(vec)
-    return tuple(sorted(keep))
+    return steps
 
 
-def _first_nonzero_positive(vec: Vector) -> bool:
-    for c in vec:
-        if c:
-            return c > 0
-    return True
+def primitive_kernel_vectors(matrix: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """All conformally minimal nonzero kernel vectors of the matrix, one per sign pair.
+
+    This is the Graver basis of the matrix, computed by project-and-lift
+    (Hemmecke, "On the computation of Hilbert bases of cones", 2002, and "On
+    the positive sum property and the computation of Graver test sets",
+    Math. Program. 2003).  An echelon lattice basis has one vector per pivot
+    column.  Stage j lifts the current set from the first j-1 coordinates to
+    the first j: it adds the basis vector with pivot j-1, if any, brings every
+    vector to its normal form under sign-compatible reduction on the first j
+    coordinates (a vector whose prefix vanishes is zero, since the projection
+    is injective on the span so far), and completes.  The set entering a
+    stage has the positive sum property on the first j-1 coordinates, so a
+    representation of any lattice vector by terms sign-compatible with it
+    there exists; completing the pairs sign-compatible on the first j-1
+    coordinates is therefore enough, and of those only the pairs that cancel
+    at coordinate j-1 give sums not reduced at once by a summand.  The last
+    stage ends with a sweep keeping only the primitive vectors.  Under
+    :func:`~sgfact.errors.step_limit` every vector taken off a queue is one
+    step, summed over all stages.
+    """
+    limit = _step_limit.get()
+    basis = integer_kernel_basis(matrix)
+    if not basis:
+        return ()
+    # an echelon basis: the vector with pivot j is zero before coordinate j
+    rows = [list(b) for b in basis]
+    echelon = {j: tuple(p) for j in range(len(basis[0])) if (p := _pivot(rows, j))}
+    _guard(np.array(list(echelon.values()), dtype=object))
+    vectors: list[Vector] = []
+    steps = 0
+    for width in range(1, len(basis[0]) + 1):
+        if width - 1 in echelon:
+            vectors.append(echelon[width - 1])
+        if vectors:
+            store = _KernelStore(width)
+            steps = _lift(vectors, store, steps, limit)
+            vectors = store.tuples
+    primitive = [
+        v
+        for idx, v in enumerate(vectors)
+        if not any(_multiple(vectors[c], v) for c in store.fitting(v) if c != idx)
+    ]
+    return tuple(sorted(primitive))
 
 
 # ---------------------------------------------------------------------------

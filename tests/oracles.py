@@ -3,8 +3,9 @@
 Everything here enumerates boxes with itertools and checks definitions
 directly, or runs the plain textbook loop; none of it shares code with the
 search engines it is used to verify beyond the binomial and term-order types.
-The one exception, ``delta_bounds``, derives a cheap bracket of the delta set
-from the public presentation and element-delta functions.  ``cpu_limit`` is
+Two exceptions: ``delta_bounds`` derives a cheap bracket of the delta set
+from the public presentation and element-delta functions, and
+``reference_graver`` starts from the library's lattice basis.  ``cpu_limit`` is
 no oracle but a guard the test modules share.
 """
 
@@ -17,9 +18,12 @@ from contextlib import contextmanager
 from itertools import count, product
 from math import gcd
 
+import numpy as np
+
 from sgfact import AffineSemigroup, affine_semigroup, delta_of_element
 from sgfact.core import value_of
 from sgfact.grobner import Binomial
+from sgfact.hilbert import integer_kernel_basis
 from sgfact.presentation import minimal_presentation
 
 
@@ -262,3 +266,84 @@ def delta_bounds(S: AffineSemigroup) -> tuple[int, int] | None:
         if deltas:
             upper = max(upper, deltas[-1])
     return (lower, upper)
+
+
+def reference_graver(matrix):
+    """All primitive kernel vectors of the matrix, by the plain completion loop.
+
+    A copy of the engine before project-and-lift: start from a lattice basis,
+    enqueue the sum of every sign-conflicting pair by increasing 1-norm,
+    admit the normal form of each sum under sign-compatible reduction over all
+    coordinates, and finally discard anything still reducible by another
+    survivor.  One vector per sign pair, first nonzero entry positive, sorted.
+    """
+    basis = integer_kernel_basis(matrix)
+    if not basis:
+        return ()
+    n = len(basis[0])
+    store = np.zeros((64, n), dtype=np.int64)
+    vectors = []
+
+    def compatible(g, s):
+        return all(a * b >= 0 for a, b in zip(g, s))
+
+    def reducer(s, candidates):
+        for idx in candidates:
+            g = vectors[idx]
+            if compatible(g, s):
+                return g
+            neg = tuple(-c for c in g)
+            if compatible(neg, s):
+                return neg
+        return None
+
+    def reduce(s):
+        mat = store[: len(vectors)]
+        while any(s):
+            fits = np.flatnonzero((np.abs(mat) <= np.abs(np.array(s, dtype=np.int64))).all(axis=1))
+            g = reducer(s, fits)
+            if g is None:
+                break
+            s = tuple(a - b for a, b in zip(s, g))
+        return s
+
+    counter = count()
+    queue = []
+    seen = set()
+
+    def admit(vec):
+        nonlocal store
+        first = next(c for c in vec if c)
+        vec = vec if first > 0 else tuple(-c for c in vec)
+        arr = np.array(vec, dtype=np.int64)
+        mat = store[: len(vectors)]
+        for sign in (1, -1):
+            conflict = (np.sign(mat) * (sign * np.sign(arr)) < 0).any(axis=1)
+            for row in mat[conflict]:
+                entry = tuple(int(c) for c in row + sign * arr)
+                if any(entry) and entry not in seen:
+                    seen.add(entry)
+                    heapq.heappush(queue, (sum(map(abs, entry)), next(counter), entry))
+        if len(vectors) == len(store):
+            store = np.vstack([store, np.zeros_like(store)])
+        store[len(vectors)] = arr
+        vectors.append(vec)
+
+    for b in basis:
+        red = reduce(b)
+        if any(red):
+            admit(red)
+    while queue:
+        _, _, s = heapq.heappop(queue)
+        red = reduce(s)
+        if any(red):
+            admit(red)
+
+    mat = store[: len(vectors)]
+    keep = []
+    for idx, vec in enumerate(vectors):
+        fits = (np.abs(mat) <= np.abs(mat[idx])).all(axis=1)
+        fits[idx] = False
+        if reducer(vec, np.flatnonzero(fits)) is None:
+            keep.append(vec)
+    return tuple(sorted(keep))

@@ -150,6 +150,9 @@ class TestSuccess:
         # the tame degree needs a full semigroup, and atoms cannot be left out
         (["tame", "--gens", "3 5"], 3),
         (["tame", "--equations", "{tmp}/full.json", "--restrict-atoms", "0,1"], 2),
+        # Graver completion counts queue pops over every lift stage, on both routes to it
+        (["graver", "--gens", "17 33 53 71", "--max-steps", "5"], 4),
+        (["delta-set", "--gens", "17 33 53 71", "--method", "hilbert", "--max-steps", "5"], 4),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):

@@ -207,8 +207,8 @@ class TestToricIdeal:
         assert toric_ideal(affine_semigroup([(1, 0), (0, 1)])).binomials == ()
 
     def test_matches_reduced_graver_basis(self):
-        # the Graver basis is a universal Groebner basis; it comes from the
-        # completion engine in hilbert.py, not from saturation and Buchberger
+        # the Graver basis is a universal Groebner basis; it comes from
+        # project-and-lift in hilbert.py, not from saturation and Buchberger
         rng = random.Random(29)
         instances = []
         while len(instances) < 20:

@@ -15,8 +15,16 @@ from sgfact import (
     primitive_kernel_vectors,
     step_limit,
 )
+from sgfact.delta import homogenize
 
-from oracles import brute_solutions, decomposes_over, minimal_elements
+from oracles import (
+    brute_solutions,
+    decomposes_over,
+    minimal_elements,
+    random_affine_semigroup,
+    random_numerical_semigroup,
+    reference_graver,
+)
 
 # the paper's example list for <3,4,5> omits the pure 4/5 relation
 # ((0,5,0),(0,0,4)), which is primitive (verified by brute force below)
@@ -136,6 +144,18 @@ class TestMinimalSolutions:
 
 
 class TestGraverBasis:
+    def test_budget_aborts_and_suffices(self):
+        s = affine_semigroup([17, 33, 53, 71])
+        with pytest.raises(ResourceLimitError), step_limit(5):
+            graver_basis(s)
+        with step_limit(10**6):
+            assert len(graver_basis(s)) == 182
+
+    def test_guarded_range(self):
+        # the Graver basis holds (2**41, 0, 1), outside the guarded range
+        with pytest.raises(ConstructionError):
+            primitive_kernel_vectors([(1, 1, -(2**41))])
+
     def test_three_four_five(self):
         assert set(graver_basis(affine_semigroup([3, 4, 5]))) == GRAVER_345
 
@@ -212,3 +232,28 @@ class TestAgainstBruteForce:
                 elif all(c <= 0 for c in v):
                     completion.add(tuple(-c for c in v))
             assert frontier == completion
+
+
+class TestAgainstCompletion:
+    """Project-and-lift against the plain completion loop it replaced."""
+
+    def test_random_matrices(self):
+        rng = random.Random(1010)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            matrix = [tuple(rng.randint(-4, 5) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+            assert primitive_kernel_vectors(matrix) == reference_graver(matrix), matrix
+
+    def test_homogenized_semigroups(self):
+        rng = random.Random(2020)
+        instances = [random_numerical_semigroup(rng, k_max=4, atom_max=40) for _ in range(8)]
+        instances += [random_affine_semigroup(rng, k_max=5, entry_max=6) for _ in range(8)]
+        for s in instances:
+            matrix = homogenize(s).matrix
+            assert primitive_kernel_vectors(matrix) == reference_graver(matrix), s
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["plain", "homogenized"])
+    def test_four_atoms(self, lift):
+        s = affine_semigroup([17, 33, 53, 71])
+        matrix = (homogenize(s) if lift else s).matrix
+        assert primitive_kernel_vectors(matrix) == reference_graver(matrix)
