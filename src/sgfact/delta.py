@@ -11,8 +11,10 @@ of the homogenized semigroup, bucketed by that gap: a gap j joins the delta
 set exactly when some gap-j binomial escapes the ideal of the smaller gaps.
 
 The homogenization route reads the delta set off the exponents of the extra
-variable in a reduced lex Groebner basis for the defining ideal of the
-homogenized semigroup.
+variable x_0 in the reduced lex basis of the toric ideal of the homogenized
+semigroup.  It starts from the reduced grlex basis of S, with x_0 on the
+lighter side of each member: a Groebner basis for a graded order, homogenized,
+generates the homogenized ideal (Cox, Little and O'Shea, ch. 8 §4, Thm 4).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from .core import AffineSemigroup, affine_semigroup
 from .errors import ConstructionError
 from .grobner import (
+    BinomialIdealBasis,
     TermOrder,
     binomial,
     buchberger,
@@ -91,27 +94,28 @@ def delta_set_hilbert(S: AffineSemigroup) -> tuple[int, ...]:
     return tuple(found)
 
 
+def _homogenized_binomials(S: AffineSemigroup, order: TermOrder) -> list:
+    """The grlex basis of S, homogenized as in ``delta_set_grobner``, under ``order``."""
+    basis = toric_ideal(S).binomials
+    return [binomial((0,) + b.plus, (sum(b.plus) - sum(b.minus),) + b.minus, order) for b in basis]
+
+
+def _lex_delta_basis(S: AffineSemigroup) -> BinomialIdealBasis:
+    """The reduced lex basis, x_0 greatest, of the toric ideal of ``homogenize(S)``."""
+    order = TermOrder.lex(len(S.generators) + 1)
+    return reduce_basis(buchberger(_homogenized_binomials(S, order), order))
+
+
 def delta_set_grobner(S: AffineSemigroup) -> tuple[int, ...]:
     """The delta set, by the homogenization route.
 
-    Take the toric ideal of the homogenized semigroup, complete its binomials
-    under lex with the homogenizing variable greatest, reduce, and collect
-    the homogenizing exponents of the leading terms that use it.  The reduced
-    lex basis does not depend on the generators it starts from.
+    Each member x^u - x^v of the reduced grlex basis of S has |u| >= |v|, as
+    grlex is graded by total degree; x_0^(|u| - |v|) goes on the side v.  These
+    generate the toric ideal of ``homogenize(S)`` (Cox, Little and O'Shea,
+    *Ideals, Varieties, and Algorithms*, ch. 8 §4, Thm 4).  Complete them under
+    lex with x_0 greatest, reduce, and collect the x_0 exponents that occur.
     """
-    hom = homogenize(S)
-    ideal = toric_ideal(hom)
-    nvars = len(hom.generators)
-    order = TermOrder.lex(nvars)  # variable 0 is the homogenizing generator
-    gens = [binomial(b.plus, b.minus, order) for b in ideal.binomials]
-    basis = reduce_basis(buchberger(gens, order))
-    out = set()
-    for b in basis.binomials:
-        j = b.plus[0]
-        if j > 0:
-            if b.minus[0] != 0:
-                raise ConstructionError(
-                    "reduced basis member carries the homogenizing variable on both sides"
-                )
-            out.add(j)
-    return tuple(sorted(out))
+    basis = _lex_delta_basis(S).binomials
+    if any(b.minus[0] for b in basis):
+        raise ConstructionError("reduced basis member carries x_0 on both sides")
+    return tuple(sorted({b.plus[0] for b in basis if b.plus[0]}))

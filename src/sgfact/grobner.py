@@ -258,15 +258,10 @@ def spair(f: Binomial, g: Binomial, order: TermOrder) -> Binomial:
 def buchberger(gens: Iterable[Binomial], order: TermOrder) -> BinomialIdealBasis:
     """A Groebner basis of the ideal generated by pure-difference binomials.
 
-    Normal selection strategy (smallest lcm first, FIFO ties).  Each new
-    member is installed by the update of Gebauer-Moeller ("On an installation
-    of Buchberger's algorithm", JSC 6, 1988): the chain criterion drops
-    pending pairs, and criteria M and F and the coprime-leading-term
-    criterion drop the new member's own pairs.  Under
+    Normal selection strategy (smallest lcm first, FIFO ties), with the
+    Gebauer-Moeller update of the module docstring.  Under
     :func:`~sgfact.errors.step_limit` every pair taken off the queue is one
-    step, which counts only pairs that survive the criteria.  Every S-pair
-    remainder is a binomial, so the loop never leaves the two-term
-    representation.
+    step, which counts only pairs that survive the criteria.
     """
     return _buchberger_extend([], gens, order)
 
@@ -396,7 +391,8 @@ def toric_ideal(S: AffineSemigroup) -> BinomialIdealBasis:
     revlex with that variable smallest, a Groebner basis of a homogeneous
     ideal divided by the variable's powers generates the saturation
     (Bayer-Stillman).  Weighting each variable by its atom's coordinate sum
-    makes every kernel binomial homogeneous.
+    makes every kernel binomial homogeneous.  ``delta_set_grobner`` relies on
+    the final order, grlex, being graded by total degree.
     """
     k = len(S.generators)
     weights = [sum(atom) for atom in S.generators]

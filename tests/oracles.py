@@ -3,10 +3,12 @@
 Everything here enumerates boxes with itertools and checks definitions
 directly, or runs the plain textbook loop; none of it shares code with the
 search engines it is used to verify beyond the binomial and term-order types.
-Two exceptions: ``delta_bounds`` derives a cheap bracket of the delta set
-from the public presentation and element-delta functions, and
-``reference_graver`` starts from the library's lattice basis.  ``cpu_limit`` is
-no oracle but a guard the test modules share.
+Three exceptions: ``delta_bounds`` derives a cheap bracket of the delta set
+from the public presentation and element-delta functions,
+``reference_graver`` starts from the library's lattice basis, and
+``reference_lex_delta_basis`` runs the library's toric-ideal and Buchberger
+engines on the homogenized semigroup.  ``cpu_limit`` is no oracle but a guard
+the test modules share.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from sgfact import AffineSemigroup, affine_semigroup, delta_of_element
 from sgfact.core import value_of
-from sgfact.grobner import Binomial
+from sgfact.delta import homogenize
+from sgfact.grobner import Binomial, TermOrder, binomial, buchberger, reduce_basis, toric_ideal
 from sgfact.hilbert import integer_kernel_basis
 from sgfact.presentation import minimal_presentation
 
@@ -347,3 +350,16 @@ def reference_graver(matrix):
         if reducer(vec, np.flatnonzero(fits)) is None:
             keep.append(vec)
     return tuple(sorted(keep))
+
+
+def reference_lex_delta_basis(S: AffineSemigroup):
+    """The reduced lex basis, x_0 greatest, of the toric ideal of ``homogenize(S)``.
+
+    Computed without homogenizing the grlex basis of S: a second toric ideal,
+    saturated on the homogenized lattice itself, re-oriented under lex and
+    completed.
+    """
+    hom = homogenize(S)
+    order = TermOrder.lex(len(hom.generators))
+    gens = [binomial(b.plus, b.minus, order) for b in toric_ideal(hom).binomials]
+    return reduce_basis(buchberger(gens, order))

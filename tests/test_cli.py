@@ -128,7 +128,7 @@ class TestSuccess:
         (["catenary-range", "--gens", "(1,0);(1,1);(0,2)", "--bound", "5"], 3),
         # the budget reaches every Buchberger run of the toric-ideal engine
         (["min-presentation", "--gens", WIDE, "--max-steps", "1"], 4),
-        # and the criteria-filtered saturation of the homogenized semigroup
+        # and the saturations behind the homogenization delta route
         (["delta-set", "--gens", "17 33 53 71", "--method", "grobner", "--max-steps", "20"], 4),
         # and the dynamic catenary degree, one step per element settled
         (["catenary", "--gens", "17 33 53 71", "--element", "200", "--max-steps", "0"], 4),

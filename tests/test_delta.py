@@ -5,17 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgfact import affine_semigroup, delta_of_element
+from sgfact import ResourceLimitError, affine_semigroup, delta_of_element, step_limit
 from sgfact.delta import (
     _gap_buckets,
+    _homogenized_binomials,
+    _lex_delta_basis,
     delta_set_grobner,
     delta_set_hilbert,
     homogenize,
 )
-from sgfact.grobner import BinomialIdealBasis, TermOrder, binomial, buchberger, normal_form
+from sgfact.grobner import (
+    BinomialIdealBasis,
+    TermOrder,
+    binomial,
+    buchberger,
+    normal_form,
+    toric_ideal,
+)
 from sgfact.hilbert import primitive_kernel_vectors
 
-from oracles import cpu_limit, delta_bounds, random_affine_semigroup, random_numerical_semigroup
+from oracles import (
+    cpu_limit,
+    delta_bounds,
+    random_affine_semigroup,
+    random_numerical_semigroup,
+    reference_lex_delta_basis,
+)
 
 
 def _chain_state(S) -> tuple[tuple[int, ...], BinomialIdealBasis, dict[int, list]]:
@@ -158,6 +173,59 @@ class TestStructure:
                 assert b.minus[0] == 0
                 exponents.add(b.plus[0])
         assert tuple(sorted(exponents)) == delta_set_grobner(s)
+
+
+NAMED = (
+    [3, 4, 5],
+    [2, 3],
+    [17, 33, 53, 71],
+    [10, 13, 17, 19],
+    [(2, 0), (1, 1), (0, 2)],
+    [(0, 1), (4, 8), (5, 2), (6, 5)],
+)
+
+
+class TestLexDeltaBasis:
+    """The homogenization route's lex basis, against a saturation of the homogenized lattice."""
+
+    def test_matches_reference_gap_of_six(self):
+        s = affine_semigroup([17, 33, 53, 71])
+        assert _lex_delta_basis(s) == reference_lex_delta_basis(s)
+
+    def test_matches_reference_random(self):
+        rng = random.Random(41)
+        for i in range(40):
+            if i % 2:
+                s = random_affine_semigroup(rng, k_max=5, entry_max=6)
+            else:
+                s = random_numerical_semigroup(rng, k_max=4, atom_max=40)
+            assert _lex_delta_basis(s).binomials == reference_lex_delta_basis(s).binomials, s
+
+    @pytest.mark.parametrize("gens", NAMED, ids=str)
+    def test_toric_ideal_is_graded(self, gens):
+        # the side that takes x_0 is the lighter one only under a graded order
+        s = affine_semigroup(gens)
+        assert toric_ideal(s).order == TermOrder.grlex(len(s.generators))
+
+    @pytest.mark.parametrize("gens", NAMED, ids=str)
+    def test_homogenized_binomials_lie_in_homogenized_ideal(self, gens):
+        s = affine_semigroup(gens)
+        ideal = toric_ideal(homogenize(s))
+        gens_h = _homogenized_binomials(s, TermOrder.lex(len(s.generators) + 1))
+        assert len(gens_h) == len(toric_ideal(s).binomials)
+        for b in gens_h:
+            assert min(b.plus + b.minus) >= 0, b
+            assert normal_form(binomial(b.plus, b.minus, ideal.order), ideal).is_zero, b
+
+    def test_step_budget(self):
+        # 20 steps stop the saturations behind the grlex basis of S, and 40,
+        # which they fit in, stop the lex completion
+        s = affine_semigroup([17, 33, 53, 71])
+        for n in (20, 40):
+            with step_limit(n), pytest.raises(ResourceLimitError):
+                delta_set_grobner(s)
+        with step_limit(10**6):
+            assert delta_set_grobner(s) == (2, 4, 6)
 
 
 class TestMethodAgreement:
