@@ -2,7 +2,6 @@
 
 from .core import (
     AffineSemigroup,
-    CongruenceSystem,
     Vector,
     affine_semigroup,
     contains,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSemigroup",
-    "CongruenceSystem",
     "DiophantineSystem",
     "Relation",
     "Vector",

@@ -15,9 +15,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ConstructionError, DimensionMismatchError
+from .errors import ConstructionError, DimensionMismatchError, ResourceLimitError, _step_limit
+
+if TYPE_CHECKING:
+    from .hilbert import DiophantineSystem
 
 Vector = tuple[int, ...]
 
@@ -78,21 +81,6 @@ def value_of(S: AffineSemigroup, z: Vector) -> Vector:
 
 
 @dataclass(frozen=True)
-class CongruenceSystem:
-    """Row-wise congruences B x = 0 (mod m), with modulus 0 meaning equality over Z."""
-
-    matrix: tuple[Vector, ...]
-    moduli: tuple[int, ...]
-
-    def satisfied_by(self, vec: Vector) -> bool:
-        for row, m in zip(self.matrix, self.moduli):
-            value = sum(r * c for r, c in zip(row, vec))
-            if (value % m if m else value) != 0:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
 class AffineSemigroup:
     """A finitely generated subsemigroup of N^dim.
 
@@ -101,12 +89,12 @@ class AffineSemigroup:
     :func:`affine_semigroup`; the raw constructor performs no validation.
     ``equations`` is present exactly when the semigroup is known to be full,
     i.e. cut out of N^dim by a congruence system whose Hilbert basis is the
-    generator list.
+    generator list; only :func:`~sgfact.tame.full_semigroup` sets it.
     """
 
     dim: int
     generators: tuple[Vector, ...]
-    equations: CongruenceSystem | None = None
+    equations: DiophantineSystem | None = None
 
     @property
     def matrix(self) -> tuple[Vector, ...]:
@@ -121,11 +109,7 @@ class AffineSemigroup:
         return f"AffineSemigroup<{gens}>"
 
 
-def affine_semigroup(
-    generators: Iterable[int | Sequence[int]],
-    *,
-    equations: CongruenceSystem | None = None,
-) -> AffineSemigroup:
+def affine_semigroup(generators: Iterable[int | Sequence[int]]) -> AffineSemigroup:
     """Build a semigroup, reducing the input to its minimal generating set.
 
     Any generator expressible over the others is discarded; surviving atoms
@@ -147,17 +131,7 @@ def affine_semigroup(
     vecs = sorted(set(vecs))
     plan = _dfs_plan(vecs)
     atoms = tuple(v for v in vecs if not _is_decomposable(v, vecs, plan))
-    if equations is not None:
-        if len(equations.moduli) != len(equations.matrix):
-            raise ConstructionError("one modulus per congruence row required")
-        if any(len(row) != dim for row in equations.matrix):
-            raise ConstructionError("congruence rows must match the ambient dimension")
-        if any(m < 0 for m in equations.moduli):
-            raise ConstructionError("moduli must be nonnegative")
-        for a in atoms:
-            if not equations.satisfied_by(a):
-                raise ConstructionError(f"generator {a} violates the defining congruences")
-    return AffineSemigroup(dim, atoms, equations)
+    return AffineSemigroup(dim, atoms)
 
 
 def _is_decomposable(target: Vector, gens: list[Vector], plan: tuple) -> bool:
@@ -217,9 +191,14 @@ class _Found(Exception):
 
 
 def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
-    """The factorizations of gamma over the planned atoms, unsorted; only one with ``first``."""
+    """The factorizations of gamma over the planned atoms, unsorted; only one with ``first``.
+
+    Under :func:`~sgfact.errors.step_limit` every node of the search is one step.
+    """
     if any(c < 0 for c in gamma):
         return []
+    limit = _step_limit.get()
+    steps = 0
     order, arranged, weights, suffix, dead = plan
     k = len(arranged)
     lightest = weights[-1]
@@ -235,6 +214,10 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
             raise _Found
 
     def rec(j: int, rem: Vector) -> None:
+        nonlocal steps
+        steps += 1
+        if limit is not None and steps > limit:
+            raise ResourceLimitError(limit)
         weight = sum(rem)
         if not weight:
             emit()  # rem is zero: the remaining multiplicities are all zero

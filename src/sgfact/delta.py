@@ -1,10 +1,10 @@
 """Whole-semigroup delta sets, by two independent routes.
 
-Both routes start from the length-homogenized semigroup, generated by (1, 0)
-and (1, a) for every atom a.  A kernel vector (x_0, v) of its matrix is a
-kernel vector v of the atom matrix with x_0 = |v-| - |v+|, so the extra
-coordinate records, negated, the length gap of the pair of factorizations
-that v joins.
+Both routes read the delta set off the length-homogenized semigroup,
+generated by (1, 0) and (1, a) for every atom a; only the chain route builds
+it.  A kernel vector (x_0, v) of its matrix is a kernel vector v of the atom
+matrix with x_0 = |v-| - |v+|, so the extra coordinate records, negated, the
+length gap of the pair of factorizations that v joins.
 
 The chain route tracks the ascending ideals generated by the Graver binomials
 of the homogenized semigroup, bucketed by that gap: a gap j joins the delta
@@ -12,9 +12,10 @@ set exactly when some gap-j binomial escapes the ideal of the smaller gaps.
 
 The homogenization route reads the delta set off the exponents of the extra
 variable x_0 in the reduced lex basis of the toric ideal of the homogenized
-semigroup.  It starts from the reduced grlex basis of S, with x_0 on the
-lighter side of each member: a Groebner basis for a graded order, homogenized,
-generates the homogenized ideal (Cox, Little and O'Shea, ch. 8 §4, Thm 4).
+semigroup.  It starts from ``toric_ideal(S)``, the reduced grlex basis of S,
+with x_0 on the lighter side of each member: a Groebner basis for a graded
+order, homogenized, generates the homogenized ideal (Cox, Little and O'Shea,
+ch. 8 §4, Thm 4).
 """
 
 from __future__ import annotations

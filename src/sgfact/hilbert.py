@@ -52,6 +52,15 @@ class DiophantineSystem:
     def homogeneous(self) -> bool:
         return not any(self.rhs)
 
+    def satisfied_by(self, vec: Vector) -> bool:
+        """Whether every row holds at vec: as an equation, a congruence or an inequality."""
+        for row, b, m in zip(self.matrix, self.rhs, self.moduli or itertools.repeat(0)):
+            value = sum(r * c for r, c in zip(row, vec)) - b
+            failed = value < 0 if self.relation is Relation.GEQ else (value % m if m else value)
+            if failed:
+                return False
+        return True
+
 
 def diophantine_system(
     matrix: Iterable[Sequence[int]],
@@ -61,8 +70,8 @@ def diophantine_system(
 ) -> DiophantineSystem:
     """Validate and freeze a system description."""
     rows = as_matrix(matrix)
-    if not rows:
-        raise ConstructionError("a system needs at least one row")
+    if not rows or not rows[0]:
+        raise ConstructionError("a system needs at least one row and one column")
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ConstructionError("ragged matrix")
@@ -306,13 +315,9 @@ def _dominated(frontier: np.ndarray, minimal: np.ndarray) -> np.ndarray:
 
 
 def _minimal_nonneg_solutions(
-    ncols: int,
-    eq: tuple[np.ndarray, np.ndarray] | None,
-    geq: tuple[np.ndarray, np.ndarray] | None,
-    *,
-    caps: np.ndarray | None = None,
+    a: np.ndarray, b: np.ndarray, geq: bool, *, caps: np.ndarray | None = None
 ) -> list[Vector]:
-    """Minimal x >= 0 with A_eq x = b_eq and A_geq x >= b_geq.
+    """Minimal x >= 0 with A x = b, or A x >= b when ``geq``.
 
     Frontier vectors grow one coordinate at a time, only along columns whose
     inner product with the current violation is negative; that rule reaches
@@ -326,12 +331,8 @@ def _minimal_nonneg_solutions(
     inhomogeneous system).
     """
     limit = _step_limit.get()
-    a_eq, b_eq = eq if eq is not None else (np.zeros((0, ncols), np.int64), np.zeros(0, np.int64))
-    a_geq, b_geq = (
-        geq if geq is not None else (np.zeros((0, ncols), np.int64), np.zeros(0, np.int64))
-    )
-    inhomogeneous = bool(b_eq.any() or b_geq.any())
-    if inhomogeneous:
+    ncols = a.shape[1]
+    if b.any():
         frontier = np.zeros((1, ncols), dtype=np.int64)
     else:
         frontier = np.eye(ncols, dtype=np.int64)
@@ -344,9 +345,10 @@ def _minimal_nonneg_solutions(
             frontier = frontier[~_dominated(frontier, minimal)]
             if not len(frontier):
                 break
-        resid_eq = _guard(frontier @ a_eq.T - b_eq)
-        viol_geq = np.minimum(_guard(frontier @ a_geq.T - b_geq), 0)
-        solution = (resid_eq == 0).all(axis=1) & (viol_geq == 0).all(axis=1)
+        violation = _guard(frontier @ a.T - b)
+        if geq:
+            violation = np.minimum(violation, 0)
+        solution = (violation == 0).all(axis=1)
         if solution.any():
             sols = frontier[solution]
             minimal = np.vstack([minimal, sols])
@@ -354,7 +356,7 @@ def _minimal_nonneg_solutions(
         rest = frontier[~solution]
         if not len(rest):
             break
-        scores = resid_eq[~solution] @ a_eq + viol_geq[~solution] @ a_geq
+        scores = violation[~solution] @ a
         children = []
         for j in range(ncols):
             mask = scores[:, j] < 0
@@ -372,10 +374,7 @@ def _minimal_nonneg_solutions(
 
 
 def _np_matrix(rows: Sequence[Vector]) -> np.ndarray:
-    arr = np.array(rows, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape((0, 0))
-    return _guard(arr)
+    return _guard(np.array(rows, dtype=np.int64))
 
 
 def _extend_congruences(sys: DiophantineSystem) -> tuple[list[list[int]], int]:
@@ -420,12 +419,7 @@ def hilbert_basis(sys: DiophantineSystem) -> tuple[Vector, ...]:
     if sys.relation is Relation.GEQ:
         raise ConstructionError("hilbert_basis supports equality/congruence rows only")
     rows, naux = _extend_congruences(sys)
-    n = sys.ncols + naux
-    solutions = _minimal_nonneg_solutions(
-        n,
-        eq=(_np_matrix([tuple(r) for r in rows]), np.zeros(len(rows), np.int64)),
-        geq=None,
-    )
+    solutions = _minimal_nonneg_solutions(_np_matrix(rows), np.zeros(len(rows), np.int64), False)
     if not naux:
         return tuple(solutions)
     projected = [v[: sys.ncols] for v in solutions if any(v[: sys.ncols])]
@@ -453,17 +447,11 @@ def minimal_solutions(sys: DiophantineSystem) -> tuple[Vector, ...]:
         extended = np.hstack([mat, -b[:, None]])
         caps = np.full(sys.ncols + 1, np.iinfo(np.int64).max, dtype=np.int64)
         caps[-1] = 1
-        pinned = _minimal_nonneg_solutions(
-            sys.ncols + 1,
-            eq=(extended, np.zeros(len(sys.matrix), np.int64)),
-            geq=None,
-            caps=caps,
-        )
+        pinned = _minimal_nonneg_solutions(extended, np.zeros_like(b), False, caps=caps)
         return tuple(sorted(v[:-1] for v in pinned if v[-1] == 1))
     if any(c < 0 for row in sys.matrix for c in row):
         raise ConstructionError("GEQ systems require nonnegative matrix entries")
-    sols = _minimal_nonneg_solutions(sys.ncols, eq=None, geq=(mat, b))
-    return tuple(sols)
+    return tuple(_minimal_nonneg_solutions(mat, b, True))
 
 
 def graver_basis(S: AffineSemigroup) -> tuple[tuple[Vector, Vector], ...]:

@@ -15,31 +15,28 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import (
-    AffineSemigroup,
-    CongruenceSystem,
-    Vector,
-    affine_semigroup,
-    as_matrix,
-    as_vector,
-    factorizations,
-    value_of,
-)
+from .core import AffineSemigroup, Vector, affine_semigroup, as_vector, factorizations, value_of
 from .errors import ConstructionError, NotFullError, NotInSemigroupError
-from .hilbert import Relation, diophantine_system, hilbert_basis, minimal_solutions
+from .hilbert import DiophantineSystem, Relation, diophantine_system, hilbert_basis, minimal_solutions
 
 
 def full_semigroup(matrix, moduli) -> AffineSemigroup:
-    """The full semigroup {x in N^n : Bx = 0 (mod moduli)}, atoms via Hilbert basis."""
-    rows = as_matrix(matrix)
-    mods = as_vector(moduli)
-    atoms = hilbert_basis(diophantine_system(rows, Relation.EQ, moduli=mods))
+    """The full semigroup {x in N^n : Bx = 0 (mod moduli)}, atoms via Hilbert basis.
+
+    This is the one constructor that records fullness: ``equations`` is the
+    validated system solved here, with a zero right-hand side.
+    """
+    system = diophantine_system(matrix, Relation.EQ, moduli=as_vector(moduli))
+    atoms = hilbert_basis(system)
     if not atoms:
         raise ConstructionError("the congruence system admits only the zero solution")
-    S = affine_semigroup(atoms, equations=CongruenceSystem(rows, mods))
+    for a in atoms:
+        if not system.satisfied_by(a):
+            raise ConstructionError(f"generator {a} violates the defining congruences")
+    S = affine_semigroup(atoms)
     if S.generators != tuple(sorted(atoms)):
         raise ConstructionError("congruence Hilbert basis was not minimal")
-    return S
+    return AffineSemigroup(S.dim, S.generators, system)
 
 
 def block_monoid(moduli, subset=None) -> AffineSemigroup:
@@ -69,7 +66,7 @@ def block_monoid(moduli, subset=None) -> AffineSemigroup:
     return full_semigroup(rows, mods)
 
 
-def _congruences(S: AffineSemigroup) -> CongruenceSystem:
+def _congruences(S: AffineSemigroup) -> DiophantineSystem:
     if S.equations is None:
         raise NotFullError("the tame degree needs a full semigroup (defining congruences)")
     return S.equations

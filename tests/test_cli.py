@@ -153,6 +153,13 @@ class TestSuccess:
         # Graver completion counts queue pops over every lift stage, on both routes to it
         (["graver", "--gens", "17 33 53 71", "--max-steps", "5"], 4),
         (["delta-set", "--gens", "17 33 53 71", "--method", "hilbert", "--max-steps", "5"], 4),
+        # the factorization search counts one step per node, however large the element
+        (["factorizations", "--gens", "3 5", "--element", "1000000000000", "--max-steps", "10"], 4),
+        (["length-set", "--gens", "1000003 1000033", "--element", "5000000000000",
+          "--max-steps", "10"], 4),
+        # a matrix without columns is rejected, not solved as a system in N^0
+        (["hilbert", "--system", "{tmp}/no_columns_eq.json"], 2),
+        (["hilbert", "--system", "{tmp}/no_columns_geq.json"], 2),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):
@@ -166,6 +173,8 @@ def test_error_exit_codes(argv, code, capsys, tmp_path):
         "scalar": {"matrix": 5},
         "null": {"matrix": None, "moduli": [3]},
         "full": {"matrix": [[1, -1, 0], [0, 1, -1]], "moduli": [2, 3]},
+        "no_columns_eq": {"matrix": [[]], "rhs": [5]},
+        "no_columns_geq": {"matrix": [[]], "relation": "geq", "rhs": [5]},
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 from sgfact import (
     ConstructionError,
     DimensionMismatchError,
+    ResourceLimitError,
     affine_semigroup,
     contains,
     delta_of_element,
+    diophantine_system,
     dist,
     factorizations,
     length_set,
+    step_limit,
 )
 
 from oracles import (
@@ -52,6 +55,12 @@ class TestConstruction:
     def test_rejects_bad_input(self, gens):
         with pytest.raises(ConstructionError):
             affine_semigroup(gens)
+
+    def test_takes_no_equations(self):
+        # only tame.full_semigroup records fullness, from the system it solved;
+        # 1 is not in <2, 3>, so these congruences do not cut it out
+        with pytest.raises(TypeError):
+            affine_semigroup([2, 3], equations=diophantine_system([(1,)], moduli=[1]))
 
     def test_matrix_is_columnwise(self):
         s = affine_semigroup([(1, 2), (3, 4)])
@@ -193,6 +202,27 @@ class TestFactorizations:
             assert factorizations(s, gamma) == tuple(
                 brute_factorizations(s.generators, gamma)
             )
+
+
+class TestBudget:
+    # one step per node of the factorization search
+    def test_limit_stops_factorizations(self):
+        s = affine_semigroup([3, 5])
+        with step_limit(10), pytest.raises(ResourceLimitError):
+            factorizations(s, 10**12)
+
+    def test_limit_stops_contains(self):
+        # the Frobenius number: every multiplicity of the heavier atom is tried
+        s = affine_semigroup([1000003, 1000033])
+        with step_limit(10), pytest.raises(ResourceLimitError):
+            contains(s, 1000003 * 1000033 - 1000003 - 1000033)
+
+    def test_large_enough_limit_gives_unlimited_output(self):
+        s = affine_semigroup([11, 36, 39])
+        fiber = factorizations(s, 450)
+        with step_limit(10**6):
+            assert factorizations(s, 450) == fiber
+            assert contains(s, 450) and not contains(s, 25)
 
 
 class TestLengthsAndDeltas:

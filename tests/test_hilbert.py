@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -53,8 +54,6 @@ class TestKernelBasis:
         # (1,-2,1) is in the kernel and must be an integer combination
         basis = integer_kernel_basis([(3, 4, 5)])
         assert len(basis) == 2
-        from itertools import product
-
         target = (1, -2, 1)
         hits = [
             (a, b)
@@ -112,6 +111,29 @@ class TestHilbertBasis:
     def test_rejects_non_integers(self, extra):
         with pytest.raises(ConstructionError):
             diophantine_system([(1, -1)], **extra)
+
+
+class TestSatisfiedBy:
+    @pytest.mark.parametrize(
+        "matrix, relation, rhs, moduli",
+        [
+            ([(1, 1, -2)], Relation.EQ, None, None),
+            ([(2, -1, 1), (1, 0, -1)], Relation.EQ, [1, 0], None),
+            ([(1, 2, 0), (0, 1, -1)], Relation.EQ, None, [3, 0]),
+            ([(1, -2, 3), (2, 2, 1)], Relation.EQ, None, [4, 5]),
+            ([(1, 2, 3)], Relation.GEQ, [4], None),
+            ([(1, -1, 2), (0, 1, -1)], Relation.GEQ, [1, 0], None),
+        ],
+        ids=["eq", "eq-rhs", "congruence-and-eq", "congruences", "geq", "geq-negative"],
+    )
+    def test_agrees_with_brute_force(self, matrix, relation, rhs, moduli):
+        system = diophantine_system(matrix, relation, rhs, moduli)
+        box = [x for x in product(range(4), repeat=3) if any(x)]
+        expected = brute_solutions(
+            matrix, 3, rhs=rhs, geq=relation is Relation.GEQ, moduli=moduli
+        )
+        assert [x for x in box if system.satisfied_by(x)] == expected
+        assert expected
 
 
 class TestMinimalSolutions:

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from sgfact import NotFullError, affine_semigroup
+from sgfact import NotFullError, Relation, affine_semigroup, hilbert_basis
 from sgfact.core import dist, factorizations, value_of
 from sgfact.tame import block_monoid, full_semigroup, minimals_principal_ideal, tame_full
 
@@ -57,7 +57,7 @@ def test_full_semigroup_matches_definition(system, expected, max_atoms):
     assert _largest_element_tame(S.generators, max_atoms) == expected
 
 
-@pytest.mark.parametrize(
+FULL = pytest.mark.parametrize(
     "build, args",
     [
         (block_monoid, [(3,)]),
@@ -71,6 +71,18 @@ def test_full_semigroup_matches_definition(system, expected, max_atoms):
     ],
     ids=["C3", "C2^2", "C4", "C5", "mixed", "equal", "long-minimal", "shortest-through-atom"],
 )
+
+
+@FULL
+def test_equations_are_the_solved_system(build, args):
+    # the atoms are the Hilbert basis of the recorded homogeneous system
+    S = build(*args)
+    assert S.equations.relation is Relation.EQ and S.equations.homogeneous
+    assert hilbert_basis(S.equations) == S.generators
+    assert all(S.equations.satisfied_by(a) for a in S.generators)
+
+
+@FULL
 def test_minimal_candidates_have_disjoint_supports(build, args):
     # tame_i_full weighs a minimal z avoiding atom i against a factorization
     # w through the atom by max(|z|, |w|); that is dist(z, w) only when the
