@@ -5,7 +5,9 @@ check and the factorization vectors of a shifted ideal gamma + S are exactly
 {x : A x >= gamma} with A the atom matrix.  The tame degree with respect to
 one atom then reduces to finitely many small computations: the minimal
 solutions of A x >= atom that avoid the atom, and for each, the shortest
-factorization of its value that uses the atom.
+factorization of its value v that uses the atom.  That is one more than the
+shortest factorization of v - atom, since w -> w - e_i maps the factorizations
+of v through atom i one-to-one onto those of v - atom, a much smaller fiber.
 
 The tame functions take a plain :class:`AffineSemigroup`, whose ``equations``
 field is the one record that it is full; without it they raise ``NotFullError``.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import AffineSemigroup, Vector, affine_semigroup, as_vector, factorizations, value_of
+from .core import AffineSemigroup, Vector, affine_semigroup, as_vector, factorizations, value_of, vsub
 from .errors import ConstructionError, NotFullError, NotInSemigroupError
 from .hilbert import DiophantineSystem, Relation, diophantine_system, hilbert_basis, minimal_solutions
 
@@ -87,32 +89,47 @@ def minimals_principal_ideal(S: AffineSemigroup, gamma) -> tuple[Vector, ...]:
     return minimal_solutions(diophantine_system(S.matrix, Relation.GEQ, rhs=g))
 
 
+def _tame_i(S: AffineSemigroup, i: int, shortest: dict[Vector, int]) -> int:
+    """Tame degree with respect to atom ``i``; ``shortest`` maps each v - atom
+    already seen to the length of its shortest factorization."""
+    atom = S.generators[i]
+    best = 0
+    for z in minimals_principal_ideal(S, atom):
+        if z[i]:
+            continue
+        rest = vsub(value_of(S, z), atom)
+        if rest not in shortest:
+            fiber = factorizations(S, rest)
+            if not fiber:
+                raise AssertionError("fullness guarantees a factorization through the atom")
+            shortest[rest] = min(map(sum, fiber))
+        # minimality of z forces its support to be disjoint from every
+        # factorization w through the atom, so dist(z, w) is max(|z|, |w|)
+        best = max(best, sum(z), 1 + shortest[rest])
+    return best
+
+
 def tame_i_full(S: AffineSemigroup, atom_index: int) -> int:
     """Tame degree of a full semigroup with respect to one atom (0-based index).
 
     Minimal shifted-ideal factorizations avoiding the atom pair off against
-    the shortest factorization of their value that uses it; the largest of
+    the shortest factorization of their value v that uses it; the largest of
     all these lengths is the answer, and 0 means every minimal element
-    already factors through the atom.
+    already factors through the atom.  That shortest length is one more than
+    the shortest factorization of v - atom, because w -> w - e_i is a
+    bijection from the factorizations of v through the atom onto those of
+    v - atom.
     """
-    k = len(S.generators)
-    if not 0 <= atom_index < k:
+    if not 0 <= atom_index < len(S.generators):
         raise ConstructionError(f"atom index {atom_index} out of range")
-    atom = S.generators[atom_index]
-    candidates = [z for z in minimals_principal_ideal(S, atom) if z[atom_index] == 0]
-    best = 0
-    for z in candidates:
-        value = value_of(S, z)
-        with_atom = [w for w in factorizations(S, value) if w[atom_index] > 0]
-        if not with_atom:
-            raise AssertionError("fullness guarantees a factorization through the atom")
-        # minimality of z forces its support to be disjoint from every such w,
-        # so dist(z, w) degenerates to max(|z|, |w|)
-        shortest = min(sum(w) for w in with_atom)
-        best = max(best, sum(z), shortest)
-    return best
+    return _tame_i(S, atom_index, {})
 
 
 def tame_full(S: AffineSemigroup) -> int:
-    """Tame degree of a full semigroup: the largest per-atom tame degree."""
-    return max((tame_i_full(S, i) for i in range(len(S.generators))), default=0)
+    """Tame degree of a full semigroup: the largest per-atom tame degree.
+
+    The atoms share one table of shortest factorization lengths, since
+    different atoms often shift their candidates onto the same element.
+    """
+    shortest: dict[Vector, int] = {}
+    return max((_tame_i(S, i, shortest) for i in range(len(S.generators))), default=0)

@@ -3,12 +3,13 @@
 Everything here enumerates boxes with itertools and checks definitions
 directly, or runs the plain textbook loop; none of it shares code with the
 search engines it is used to verify beyond the binomial and term-order types.
-Three exceptions: ``delta_bounds`` derives a cheap bracket of the delta set
+Four exceptions: ``delta_bounds`` derives a cheap bracket of the delta set
 from the public presentation and element-delta functions,
-``reference_graver`` starts from the library's lattice basis, and
+``reference_graver`` starts from the library's lattice basis,
 ``reference_lex_delta_basis`` runs the library's toric-ideal and Buchberger
-engines on the homogenized semigroup.  ``cpu_limit`` is no oracle but a guard
-the test modules share.
+engines on the homogenized semigroup, and ``reference_tame_i`` takes the
+library's shifted-ideal minimals and fibers.  ``cpu_limit`` is no oracle but
+a guard the test modules share.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from math import gcd
 import numpy as np
 
 from sgfact import AffineSemigroup, affine_semigroup, delta_of_element
-from sgfact.core import value_of
+from sgfact.core import factorizations, value_of
 from sgfact.delta import homogenize
 from sgfact.grobner import Binomial, TermOrder, binomial, buchberger, reduce_basis, toric_ideal
 from sgfact.hilbert import integer_kernel_basis
 from sgfact.presentation import minimal_presentation
+from sgfact.tame import minimals_principal_ideal
 
 
 @contextmanager
@@ -156,6 +158,21 @@ def tame_of_element(gens, gamma):
             for z in fiber:
                 worst = max(worst, min(_distance(z, w) for w in through))
     return worst
+
+
+def reference_tame_i(S: AffineSemigroup, i):
+    """Tame degree of a full semigroup with respect to atom ``i``, one full fiber per candidate.
+
+    Each minimal z of atom + S that avoids the atom is weighed against the
+    shortest factorization of its own value that uses the atom, found by
+    enumerating that whole fiber.
+    """
+    best = 0
+    for z in minimals_principal_ideal(S, S.generators[i]):
+        if z[i] == 0:
+            through = [sum(w) for w in factorizations(S, value_of(S, z)) if w[i] > 0]
+            best = max(best, sum(z), min(through))
+    return best
 
 
 def _distance(z, w):

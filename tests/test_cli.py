@@ -160,6 +160,9 @@ class TestSuccess:
         # a matrix without columns is rejected, not solved as a system in N^0
         (["hilbert", "--system", "{tmp}/no_columns_eq.json"], 2),
         (["hilbert", "--system", "{tmp}/no_columns_geq.json"], 2),
+        # an atom index out of range, and the budget reaching the tame degree
+        (["tame", "--equations", "{tmp}/full.json", "--atom-index", "99"], 2),
+        (["tame", "--equations", "{tmp}/full.json", "--max-steps", "1"], 4),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):

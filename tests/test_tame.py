@@ -2,11 +2,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from sgfact import NotFullError, Relation, affine_semigroup, hilbert_basis
+from sgfact import NotFullError, Relation, ResourceLimitError, affine_semigroup, hilbert_basis, step_limit
 from sgfact.core import dist, factorizations, value_of
-from sgfact.tame import block_monoid, full_semigroup, minimals_principal_ideal, tame_full
+from sgfact.tame import block_monoid, full_semigroup, minimals_principal_ideal, tame_full, tame_i_full
 
-from oracles import tame_of_element
+from oracles import cpu_limit, reference_tame_i, tame_of_element
 
 # full semigroups that are not block monoids, as (matrix, moduli)
 MIXED = ([[1, -1, 0], [0, 1, -1]], [2, 3])  # tame degree 6
@@ -57,20 +57,17 @@ def test_full_semigroup_matches_definition(system, expected, max_atoms):
     assert _largest_element_tame(S.generators, max_atoms) == expected
 
 
-FULL = pytest.mark.parametrize(
-    "build, args",
-    [
-        (block_monoid, [(3,)]),
-        (block_monoid, [(2, 2)]),
-        (block_monoid, [(4,)]),
-        (block_monoid, [(5,)]),
-        (full_semigroup, MIXED),
-        (full_semigroup, EQUAL),
-        (full_semigroup, LONG_MINIMAL),
-        (full_semigroup, SHORTEST_THROUGH_ATOM),
-    ],
-    ids=["C3", "C2^2", "C4", "C5", "mixed", "equal", "long-minimal", "shortest-through-atom"],
-)
+FULL_SEMIGROUPS = [
+    pytest.param(block_monoid, [(3,)], id="C3"),
+    pytest.param(block_monoid, [(2, 2)], id="C2^2"),
+    pytest.param(block_monoid, [(4,)], id="C4"),
+    pytest.param(block_monoid, [(5,)], id="C5"),
+    pytest.param(full_semigroup, MIXED, id="mixed"),
+    pytest.param(full_semigroup, EQUAL, id="equal"),
+    pytest.param(full_semigroup, LONG_MINIMAL, id="long-minimal"),
+    pytest.param(full_semigroup, SHORTEST_THROUGH_ATOM, id="shortest-through-atom"),
+]
+FULL = pytest.mark.parametrize("build, args", FULL_SEMIGROUPS)
 
 
 @FULL
@@ -100,3 +97,35 @@ def test_minimal_candidates_have_disjoint_supports(build, args):
                 assert dist(z, w) == max(sum(z), sum(w)), (z, w)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    FULL_SEMIGROUPS
+    + [
+        pytest.param(block_monoid, [(6,)], id="C6"),
+        pytest.param(block_monoid, [(2, 2, 2)], id="C2^3"),
+    ],
+)
+def test_tame_i_matches_full_fiber_reference(build, args):
+    # tame_i_full reads the shortest factorization through the atom off the
+    # fiber of value - atom; the reference enumerates the fiber of the value
+    S = build(*args)
+    for i in range(len(S.generators)):
+        assert tame_i_full(S, i) == reference_tame_i(S, i), i
+
+
+def test_benchmark_groups_within_cpu_budget():
+    # the full-tame benchmark's groups: the fibers of value - atom take about a
+    # third of this budget, one full fiber per candidate's value more than all of it
+    with cpu_limit(1.5):
+        assert tame_full(block_monoid((6,))) == 8
+        assert tame_full(block_monoid((2, 2, 2))) == 4
+
+
+def test_step_limit_stops_tame_full():
+    S = block_monoid((5,))
+    with pytest.raises(ResourceLimitError), step_limit(1):
+        tame_full(S)
+    with step_limit(10**6):
+        assert tame_full(S) == 6
