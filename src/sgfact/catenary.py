@@ -19,17 +19,22 @@ W the bit length of ``core._INT_LIMIT``: the shift by e_i is one add, and
 int order is the lexicographic order of the tuples, so trees and tie-breaks
 are the same.  Atoms are nonzero vectors in N^d, so no z_i exceeds max(g),
 which is below ``_INT_LIMIT`` for every element g that ``as_vector`` accepts
-or :func:`catenary_range` admits: no field carries into the next.  The memo,
-a plain dict, maps an element to its packed tree, or to ``None`` for a
-non-member; :func:`mwst` decodes only the tree it returns.  The ascending
-sweep over a numerical semigroup drops each tree once it lies max(atom)
-below the sweep, where it can never be needed again.
+or :func:`catenary_range` admits: no field carries into the next.  A packed
+tree is four lists: the sorted vertex codes, each vertex's length, each
+vertex's support bitmask, and the tree edges as (weight, i, j), i < j
+indices into the vertex list.  Index order is code order, so sorting index
+edges sorts them as the tuple edges would sort.  A shift by e_i adds one to
+each length and sets bit i of each mask, so :func:`_disjoint_pairs` decodes
+nothing, and Kruskal's union-find is a plain list over the indices.  The
+memo, a plain dict, maps an element to its packed tree, or to ``None`` for a
+non-member; :func:`mwst` decodes only the tree it returns, each vertex once.
+The ascending sweep over a numerical semigroup drops each tree once it lies
+max(atom) below the sweep, where it can never be needed again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
 
 from .core import _INT_LIMIT, AffineSemigroup, Vector, as_vector, dist, factorizations, vsub
 from .errors import (
@@ -41,9 +46,9 @@ from .errors import (
 )
 
 Edge = tuple[int, Vector, Vector]  # (weight, smaller endpoint, larger endpoint)
-Packed = tuple[list[int], list[tuple[int, int, int]]]  # sorted vertex codes, sorted code edges
+# sorted vertex codes, their lengths, their support bitmasks, sorted (weight, i, j) index edges
+Packed = tuple[list[int], list[int], list[int], list[tuple[int, int, int]]]
 
-V = TypeVar("V", Vector, int)  # a vertex: a factorization or its code
 _W = _INT_LIMIT.bit_length()  # field width of one coordinate in a vertex code
 _MASK = (1 << _W) - 1
 
@@ -72,30 +77,24 @@ def _unpack(code: int, k: int) -> Vector:
     return tuple([(code >> s) & _MASK for s in range(_W * (k - 1), -1, -_W)])
 
 
-def _edge(z: Vector, w: Vector) -> Edge:
-    return (dist(z, w), z, w) if z < w else (dist(z, w), w, z)
-
-
-def _kruskal(vertices: Sequence[V], edges: list[tuple[int, V, V]]) -> list[tuple[int, V, V]]:
-    """Spanning-tree edges admitted in the given (already weight-sorted) order."""
-    parent: dict[V, V] = {v: v for v in vertices}
-    size: dict[V, int] = {v: 1 for v in vertices}
-
-    def find(v: V) -> V:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]  # path halving
-        return v
-
-    admitted: list[tuple[int, V, V]] = []
-    needed = len(vertices) - 1
+def _kruskal(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Spanning-tree edges over vertices 0..n-1, admitted in the given (already sorted) order."""
+    parent = list(range(n))
+    size = [1] * n
+    admitted: list[tuple[int, int, int]] = []
+    needed = n - 1
     for edge in edges:
-        ra, rb = find(edge[1]), find(edge[2])
-        if ra == rb:
+        _, a, b = edge
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             continue
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
         admitted.append(edge)
         if len(admitted) == needed:
             break
@@ -112,37 +111,28 @@ def catenary_naive(S: AffineSemigroup, gamma: int | Vector) -> int:
     if len(fiber) == 1:
         return 0
     edges = sorted(
-        _edge(fiber[i], fiber[j])
+        (dist(fiber[i], fiber[j]), i, j)
         for i in range(len(fiber))
         for j in range(i + 1, len(fiber))
     )
-    admitted = _kruskal(fiber, edges)
-    return admitted[-1][0]
+    return _kruskal(len(fiber), edges)[-1][0]
 
 
-def _translate(tree: Packed, atom_index: int, k: int) -> Packed:
-    """A memoized packed tree shifted by e_i: one add per vertex and endpoint,
-    which keeps every weight and the order of both lists."""
-    unit = 1 << (_W * (k - 1 - atom_index))
-    return [v + unit for v in tree[0]], [(w, a + unit, b + unit) for w, a, b in tree[1]]
-
-
-def _disjoint_pairs(vertices: list[int], k: int) -> list[tuple[int, int, int]]:
-    """Code edges between the factorizations with disjoint supports, weighted max(|z|, |w|)."""
+def _disjoint_pairs(lengths: list[int], masks: list[int], k: int) -> list[tuple[int, int, int]]:
+    """Index edges between the factorizations with disjoint supports, weighted max(|z|, |w|)."""
+    full = (1 << k) - 1  # a factorization that uses every atom has no partner
     by_support: dict[int, list[tuple[int, int]]] = {}
-    for v in vertices:
-        z = _unpack(v, k)
-        if 0 in z:  # a factorization that uses every atom has no partner
-            mask = sum(1 << i for i, c in enumerate(z) if c)
-            by_support.setdefault(mask, []).append((v, sum(z)))
-    masks = list(by_support)
+    for i, mask in enumerate(masks):
+        if mask != full:
+            by_support.setdefault(mask, []).append((i, lengths[i]))
+    supports = list(by_support)
     return [
-        (max(lz, lw), z, w) if z < w else (max(lz, lw), w, z)
-        for i, m in enumerate(masks)
-        for n in masks[i + 1 :]
+        (max(la, lb), a, b) if a < b else (max(la, lb), b, a)
+        for s, m in enumerate(supports)
+        for n in supports[s + 1 :]
         if not m & n
-        for z, lz in by_support[m]
-        for w, lw in by_support[n]
+        for a, la in by_support[m]
+        for b, lb in by_support[n]
     ]
 
 
@@ -154,17 +144,25 @@ def _build_tree(k: int, children: list[tuple[int, Packed]]) -> Packed:
     its fiber is the zero vector, code 0.
     """
     if not children:
-        return [0], []
-    vertex_set: set[int] = set()
+        return [0], [0], [0], []
+    shifted = [
+        ([v + (1 << (_W * (k - 1 - atom_index))) for v in tree[0]], 1 << atom_index, tree)
+        for atom_index, tree in children
+    ]
+    vertices = sorted({v for codes, _, _ in shifted for v in codes})
+    index = {v: i for i, v in enumerate(vertices)}
+    lengths = [0] * len(vertices)
+    masks = [0] * len(vertices)
     edges: list[tuple[int, int, int]] = []
-    for atom_index, tree in children:
-        shifted_vertices, shifted_edges = _translate(tree, atom_index, k)
-        vertex_set.update(shifted_vertices)
-        edges += shifted_edges
-    vertices = sorted(vertex_set)
-    edges += _disjoint_pairs(vertices, k)
+    for codes, bit, (_, child_lengths, child_masks, child_edges) in shifted:
+        position = [index[v] for v in codes]  # increasing: a shift keeps code order
+        for i, length, mask in zip(position, child_lengths, child_masks):
+            lengths[i] = length + 1
+            masks[i] = mask | bit
+        edges += [(w, position[a], position[b]) for w, a, b in child_edges]
+    edges += _disjoint_pairs(lengths, masks, k)
     edges.sort()  # Timsort merges the presorted runs
-    return vertices, _kruskal(vertices, edges)
+    return vertices, lengths, masks, _kruskal(len(vertices), edges)
 
 
 def _settle(S: AffineSemigroup, memo: Memo, element: Vector) -> Packed | None:
@@ -233,16 +231,14 @@ def mwst(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> W
     :func:`~sgfact.errors.step_limit` every element settled is one step.
     """
     k = len(S.generators)
-    vertices, edges = _packed_tree(S, gamma, memo)
-    return WeightedTree(
-        tuple(_unpack(v, k) for v in vertices),
-        tuple((w, _unpack(a, k), _unpack(b, k)) for w, a, b in edges),
-    )
+    codes, _, _, edges = _packed_tree(S, gamma, memo)
+    vertices = tuple(_unpack(v, k) for v in codes)
+    return WeightedTree(vertices, tuple((w, vertices[a], vertices[b]) for w, a, b in edges))
 
 
 def catenary_dynamic(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> int:
     """Catenary degree via the memoized spanning-tree route; agrees with catenary_naive."""
-    return _bottleneck(_packed_tree(S, gamma, memo)[1])
+    return _bottleneck(_packed_tree(S, gamma, memo)[3])
 
 
 def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
@@ -269,5 +265,5 @@ def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
         tree = _settle(S, memo, (gamma,))
         memo.pop((gamma - top,), None)
         if tree is not None:
-            results.append((gamma, _bottleneck(tree[1])))
+            results.append((gamma, _bottleneck(tree[3])))
     return results

@@ -18,7 +18,7 @@ import heapq
 import random
 import signal
 from contextlib import contextmanager
-from itertools import count, product
+from itertools import combinations, count, product
 from math import gcd
 
 import numpy as np
@@ -46,6 +46,30 @@ def cpu_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
+
+
+def reference_spanning_tree(fiber):
+    """Kruskal over the complete distance graph of a fiber, edges taken in
+    (weight, lower, upper) order; that strict order makes the tree unique."""
+
+    def distance(z, w):
+        common = sum(min(x, y) for x, y in zip(z, w))
+        return max(sum(z), sum(w)) - common
+
+    component = {z: z for z in fiber}
+
+    def find(z):
+        while component[z] != z:
+            z = component[z]
+        return z
+
+    tree = []
+    for w, a, b in sorted((distance(a, b), a, b) for a, b in combinations(sorted(fiber), 2)):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            component[ra] = rb
+            tree.append((w, a, b))
+    return tuple(tree)
 
 
 def brute_factorizations(gens, gamma):

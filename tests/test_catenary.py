@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from sgfact import (
@@ -18,7 +18,7 @@ from sgfact import catenary
 from sgfact.catenary import (
     _W,
     WeightedTree,
-    _translate,
+    _kruskal,
     _unpack,
     catenary_dynamic,
     catenary_naive,
@@ -27,7 +27,7 @@ from sgfact.catenary import (
 )
 from sgfact.core import value_of
 
-from oracles import random_numerical_semigroup
+from oracles import cpu_limit, random_numerical_semigroup, reference_spanning_tree
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +54,12 @@ class TestNaive:
 
         fiber = factorizations(s_11_36_39, 450)
         edges = sorted(
-            (dist(a, b), a, b)
-            for a, b in itertools.combinations(fiber, 2)
+            (dist(fiber[i], fiber[j]), i, j)
+            for i, j in itertools.combinations(range(len(fiber)), 2)
         )
         rng = random.Random(0)
-        from sgfact.catenary import _kruskal
 
-        reference = _kruskal(fiber, edges)[-1][0]
+        reference = _kruskal(len(fiber), edges)[-1][0]
         for _ in range(5):
             groups = {}
             for e in edges:
@@ -70,7 +69,7 @@ class TestNaive:
                 batch = groups[w][:]
                 rng.shuffle(batch)
                 shuffled.extend(batch)
-            assert _kruskal(fiber, shuffled)[-1][0] == reference
+            assert _kruskal(len(fiber), shuffled)[-1][0] == reference
 
 
 class TestTrees:
@@ -117,11 +116,46 @@ class TestTrees:
                 assert tuple(sorted(endpoints)) == fiber
 
     def test_shift_preserves_weights(self, s_11_36_39):
+        # the memo keeps trees built from shifted children: every index edge
+        # still carries the distance of the vertices it names
         memo = {}
         mwst(s_11_36_39, 450, memo)
-        _, edges = _translate(memo[(439,)], 0, 3)
-        for w, a, b in edges:
-            assert dist(_unpack(a, 3), _unpack(b, 3)) == w
+        for tree in filter(None, memo.values()):
+            codes, _, _, edges = tree
+            for w, i, j in edges:
+                assert i < j and dist(_unpack(codes[i], 3), _unpack(codes[j], 3)) == w
+
+    @pytest.mark.parametrize(
+        "gens, elements",
+        [([11, 36, 39], [450, 351]), ([(2, 0), (1, 1), (0, 2)], [(8, 4), (6, 6)])],
+    )
+    def test_carried_lengths_and_supports(self, gens, elements):
+        s = affine_semigroup(gens)
+        memo = {}
+        for gamma in elements:
+            mwst(s, gamma, memo)
+        k = len(s.generators)
+        for tree in filter(None, memo.values()):
+            codes, lengths, masks, _ = tree
+            for code, length, mask in zip(codes, lengths, masks):
+                z = _unpack(code, k)
+                assert length == sum(z)
+                assert mask == sum(1 << i for i, c in enumerate(z) if c)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tree_is_the_strict_order_kruskal_tree(self, data):
+        # under (weight, lower, upper) order the minimum spanning tree is
+        # unique, and the dynamic edge sources contain it
+        d = data.draw(st.integers(1, 3))
+        vectors = st.tuples(*[st.integers(0, 12 if d == 1 else 4)] * d).filter(any)
+        s = affine_semigroup(data.draw(st.lists(vectors, min_size=2, max_size=5, unique=True)))
+        counts = st.tuples(*[st.integers(1, 5)] * len(s.generators))
+        gamma = value_of(s, data.draw(counts))
+        fiber = factorizations(s, gamma)
+        assume(2 <= len(fiber) <= 150)
+        target(len(fiber))  # steer towards large fibers
+        assert mwst(s, gamma).edges == reference_spanning_tree(fiber)
 
     def test_rejects_non_members(self):
         with pytest.raises(NotInSemigroupError):
@@ -228,6 +262,14 @@ class TestRange:
         entries = dict(catenary_range(s_11_36_39, 450))
         assert entries[450] == 16
         assert 1 not in entries  # gaps are skipped
+
+    def test_sweep_to_1000_within_cpu_budget(self):
+        # about 1.6 times the sweep's CPU time on an x86-64 host where a
+        # union-find over dicts keyed by packed ints takes over 1 s
+        s = affine_semigroup([7, 10, 13])
+        with cpu_limit(0.9):
+            entries = catenary_range(s, 1000)
+        assert entries[-1] == (1000, catenary_naive(s, 1000))
 
     def test_agrees_with_dynamic_and_naive(self):
         s = affine_semigroup([7, 10, 13])
