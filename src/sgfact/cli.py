@@ -236,14 +236,16 @@ def _run_command(args) -> str:
 
     if args.command in ("length-set", "delta-element"):
         element = _parse_vector(args.element)
-        if not contains(S, element):
-            raise NotInSemigroupError(f"{args.element} is not in the semigroup")
         if args.command == "length-set":
             values = length_set(S, element)
-            payload = {"element": _scalarize(S, element), "length_set": list(values)}
+            member, key = bool(values), "length_set"
         else:
-            values = delta_of_element(S, element)
-            payload = {"element": _scalarize(S, element), "delta": list(values)}
+            # a member with a single length has an empty delta too, so ask membership
+            member, key = contains(S, element), "delta"
+            values = delta_of_element(S, element) if member else ()
+        if not member:
+            raise NotInSemigroupError(f"{args.element} is not in the semigroup")
+        payload = {"element": _scalarize(S, element), key: list(values)}
         return _emit(args, payload, [" ".join(str(v) for v in values)])
 
     if args.command == "delta-set":

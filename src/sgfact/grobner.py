@@ -11,7 +11,9 @@ chain criterion drops pending pairs, and criteria M and F and the coprime
 criterion drop the new member's own pairs.  Division looks up the first
 divisor in basis order on a numpy matrix of leading exponents that grows
 with the basis.  The matrix holds exponents clipped at 2^62 and only
-preselects; every hit is confirmed on the exact tuples.
+preselects; every hit is confirmed on the exact tuples.  One loop,
+``_LeadIndex.reduce``, fully reduces a term: the trailing side of a normal
+form and each trailing term of a reduced basis.
 
 Binomials are NOT normalized by cancelling a common monomial factor.  That
 cancellation is only sound for saturated (toric) ideals; the ascending-chain
@@ -26,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,25 +47,23 @@ class OrderKind(Enum):
 class TermOrder:
     """A monomial order on exponent vectors of a fixed number of variables.
 
-    ``priority`` lists variable indices from most to least significant (in
-    index order for LEX and GRLEX); for REVLEX it lists them in tie-break
-    order, where the smaller exponent wins.
-    ``weights`` is the positive degree of each variable under REVLEX and
-    empty otherwise.
+    The LEX key is the exponent itself and the GRLEX key ``(degree, exponent)``.
+    Only REVLEX has ``weights``, a positive degree per variable, and
+    ``priority``, the tie-break order where the smaller exponent wins.
     """
 
     kind: OrderKind
     nvars: int
-    priority: tuple[int, ...]
+    priority: tuple[int, ...] = ()
     weights: tuple[int, ...] = ()
 
     @staticmethod
     def lex(nvars: int) -> "TermOrder":
-        return TermOrder(OrderKind.LEX, nvars, tuple(range(nvars)))
+        return TermOrder(OrderKind.LEX, nvars)
 
     @staticmethod
     def grlex(nvars: int) -> "TermOrder":
-        return TermOrder(OrderKind.GRLEX, nvars, tuple(range(nvars)))
+        return TermOrder(OrderKind.GRLEX, nvars)
 
     @staticmethod
     def revlex(weights: Sequence[int], last: int) -> "TermOrder":
@@ -82,55 +82,32 @@ class TermOrder:
 
     def key(self, exponent: Vector):
         if self.kind is OrderKind.GRLEX:
-            return (sum(exponent), tuple(exponent[i] for i in self.priority))
+            return (sum(exponent), exponent)
         if self.kind is OrderKind.REVLEX:
             degree = sum(w * e for w, e in zip(self.weights, exponent))
             return (degree, tuple(-exponent[i] for i in self.priority))
-        return tuple(exponent[i] for i in self.priority)
+        return exponent
 
     def greater(self, a: Vector, b: Vector) -> bool:
         return self.key(a) > self.key(b)
 
 
-class Binomial:
-    """y^plus - y^minus with plus strictly greater under the ambient order.
+class Binomial(NamedTuple):
+    """y^plus - y^minus as a plain pair, plus strictly greater under the ambient order.
 
     The degenerate difference y^z - y^z is the shared ZERO value; test with
     ``b.is_zero``.
     """
 
-    __slots__ = ("plus", "minus", "is_zero")
+    plus: Vector
+    minus: Vector
 
-    def __init__(self, plus: Vector, minus: Vector, *, _zero: bool = False):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "is_zero", _zero)
-
-    def __setattr__(self, *args):  # immutable
-        raise AttributeError("Binomial is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Binomial)
-            and self.is_zero == other.is_zero
-            and (self.is_zero or (self.plus == other.plus and self.minus == other.minus))
-        )
-
-    def __hash__(self):
-        return hash((self.is_zero, self.plus, self.minus))
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        if self.is_zero:
-            return "Binomial.ZERO"
-
-        def mono(e):
-            parts = [f"y{i+1}^{c}" if c > 1 else f"y{i+1}" for i, c in enumerate(e) if c]
-            return "*".join(parts) if parts else "1"
-
-        return f"{mono(self.plus)} - {mono(self.minus)}"
+    @property
+    def is_zero(self) -> bool:
+        return self.plus == self.minus
 
 
-ZERO = Binomial((), (), _zero=True)
+ZERO = Binomial((), ())
 
 
 def binomial(a: Vector, b: Vector, order: TermOrder) -> Binomial:
@@ -199,17 +176,23 @@ class _LeadIndex:
         self.members.append(b)
         self.leads.append(b.plus)
 
-    def divisor(self, exponent: Vector, skip: int = -1) -> Binomial | None:
-        """The first member in basis order, other than ``skip``, whose leading term divides."""
+    def divisor(self, exponent: Vector) -> Binomial | None:
+        """The first member in basis order whose leading term divides the exponent."""
         fits = (self.leads.rows <= _clipped(exponent)).all(axis=1)
         for idx in np.flatnonzero(fits):
             g = self.members[idx]
-            if idx != skip and _divides(g.plus, exponent):
+            if _divides(g.plus, exponent):
                 return g
         return None
 
+    def reduce(self, term: Vector) -> Vector:
+        """The term rewritten by first divisors until no leading term divides it."""
+        while (g := self.divisor(term)) is not None:
+            term = vadd(vsub(term, g.plus), g.minus)
+        return term
 
-def normal_form(f: Binomial, G: BinomialIdealBasis, *, _skip: int = -1) -> Binomial:
+
+def normal_form(f: Binomial, G: BinomialIdealBasis) -> Binomial:
     """Remainder of binomial division of f by the members of G.
 
     Each step divides by the first member in basis order whose leading term
@@ -217,24 +200,19 @@ def normal_form(f: Binomial, G: BinomialIdealBasis, *, _skip: int = -1) -> Binom
     finds it.  When G is a Groebner basis the result is the canonical normal
     form and is ZERO exactly for members of the ideal; otherwise the
     remainder is merely order-correct.  Both terms are fully reduced.
-    ``_skip`` leaves out the member at that position, so that
-    ``reduce_basis`` can divide a member by the others.
     """
     if f.is_zero:
         return ZERO
     index, order = G._index, G.order
     plus, minus = f.plus, f.minus
-    while (g := index.divisor(plus, _skip)) is not None:
+    while (g := index.divisor(plus)) is not None:
         plus = vadd(vsub(plus, g.plus), g.minus)
         if plus == minus:
             return ZERO
         if order.greater(minus, plus):
             plus, minus = minus, plus
-    while (g := index.divisor(minus, _skip)) is not None:
-        minus = vadd(vsub(minus, g.plus), g.minus)
-        if plus == minus:
-            return ZERO
-    return Binomial(plus, minus)
+    # every rewrite of the trailing side makes it smaller, so it stays below plus
+    return Binomial(plus, index.reduce(minus))
 
 
 def _view(index: _LeadIndex) -> BinomialIdealBasis:
@@ -370,13 +348,12 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
         if index.divisor(b.plus) is None:
             index.add(b)
     minimal = index.members
-    # no other leading term divides a member's own, so reducing it against the
-    # others rewrites only its trailing term and its row stays valid.  The
-    # input is a Groebner basis, so each normal form is the canonical one and
-    # a single pass leaves every member reduced
-    view = _view(index)
+    # no other leading term divides a member's own, and its own divides no
+    # smaller term, so only the trailing term is rewritten and the row stays
+    # valid.  The input is a Groebner basis, so one pass leaves every member
+    # with the canonical, fully reduced trailing term
     for i, b in enumerate(minimal):
-        minimal[i] = normal_form(b, view, _skip=i)
+        minimal[i] = Binomial(b.plus, index.reduce(b.minus))
     minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
     return BinomialIdealBasis(tuple(minimal), order)
 

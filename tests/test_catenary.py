@@ -186,11 +186,16 @@ class TestPacked:
     def test_tree_spans_the_fiber_in_dimensions_one_to_three(self, data):
         d = data.draw(st.integers(1, 3))
         vectors = st.tuples(*[st.integers(0, 9 if d == 1 else 5)] * d).filter(any)
-        s = affine_semigroup(data.draw(st.lists(vectors, min_size=1, max_size=4)))
-        counts = st.tuples(*[st.integers(0, 3)] * len(s.generators))
+        # more atoms than dimensions, so that some fibers have two or more vertices
+        atoms = st.lists(vectors, min_size=d + 1, max_size=d + 3, unique=True)
+        s = affine_semigroup(data.draw(atoms))
+        counts = st.tuples(*[st.integers(1, 3)] * len(s.generators))
         gamma = value_of(s, data.draw(counts))
+        fiber = factorizations(s, gamma)
+        assume(len(fiber) >= 2)
+        target(len(fiber))  # steer towards large fibers
         tree = mwst(s, gamma)
-        assert tree.vertices == factorizations(s, gamma)
+        assert tree.vertices == fiber
         assert len(tree.edges) == len(tree.vertices) - 1
         for w, a, b in tree.edges:
             assert a < b and dist(a, b) == w

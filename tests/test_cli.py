@@ -163,6 +163,8 @@ class TestSuccess:
         # an atom index out of range, and the budget reaching the tame degree
         (["tame", "--equations", "{tmp}/full.json", "--atom-index", "99"], 2),
         (["tame", "--equations", "{tmp}/full.json", "--max-steps", "1"], 4),
+        # an empty delta does not by itself mean a non-member
+        (["delta-element", "--gens", "3 4 5", "--element", "2"], 3),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):

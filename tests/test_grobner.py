@@ -101,6 +101,10 @@ class TestNormalForm:
         f = binomial((2, 0), (0, 0), order)  # x^2 - 1
         r = normal_form(f, _basis([g], order))
         assert r == binomial((0, 2), (0, 0), order)  # y^2 - 1
+        # a leading term no member divides: only the trailing side is rewritten
+        g = binomial((0, 1, 0), (0, 0, 1), LEX3)  # y - z
+        f = binomial((1, 0, 0), (0, 1, 0), LEX3)  # x - y
+        assert normal_form(f, _basis([g])) == binomial((1, 0, 0), (0, 0, 1), LEX3)  # x - z
 
 
 class TestBuchberger:
