@@ -104,12 +104,15 @@ def _kruskal(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, int, 
 
 
 def catenary_naive(S: AffineSemigroup, gamma: int | Vector) -> int:
-    """Catenary degree from the complete fiber graph; the reference method."""
+    """Catenary degree from the complete fiber graph; the reference method.  Under
+    ``step_limit`` every pair of factorizations is one step, counted before any edge."""
     fiber = factorizations(S, gamma)
     if not fiber:
         raise NotInSemigroupError(f"{gamma} has no factorization")
     if len(fiber) == 1:
         return 0
+    if (limit := _step_limit.get()) is not None and len(fiber) * (len(fiber) - 1) // 2 > limit:
+        raise ResourceLimitError(limit)
     edges = sorted(
         (dist(fiber[i], fiber[j]), i, j)
         for i in range(len(fiber))

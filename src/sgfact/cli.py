@@ -10,7 +10,8 @@ sorted.
 counting loop it starts (each factorization search, one step per node, the
 semigroup's construction included; the Graver queue pops, summed over every
 lift stage; the Hilbert frontier search; each Buchberger run; the catenary
-trees built one element at a time) aborts after N steps of its own.
+trees built one element at a time; the naive catenary degree, one step per
+pair of factorizations) aborts after N steps of its own.
 
 Exit codes: 0 success, 2 parse/validation error (a negative ``--max-steps``
 included), 3 semantic error (element outside the semigroup, non-full input
@@ -33,8 +34,7 @@ from .core import (
     AffineSemigroup,
     Vector,
     affine_semigroup,
-    contains,
-    delta_of_element,
+    delta_of_lengths,
     factorizations,
     length_set,
 )
@@ -152,8 +152,8 @@ def _add_common(parser: _Parser) -> None:
         default=None,
         help="abort any counting loop after N steps: nodes of one factorization search, "
         "Graver queue pops summed over all lift stages, Hilbert frontier rows, S-pairs that "
-        "survive the pair criteria in one Buchberger run, or elements whose catenary tree "
-        "is settled",
+        "survive the pair criteria in one Buchberger run, elements whose catenary tree is "
+        "settled, or pairs of factorizations the naive catenary degree weighs",
     )
 
 
@@ -236,15 +236,12 @@ def _run_command(args) -> str:
 
     if args.command in ("length-set", "delta-element"):
         element = _parse_vector(args.element)
-        if args.command == "length-set":
-            values = length_set(S, element)
-            member, key = bool(values), "length_set"
-        else:
-            # a member with a single length has an empty delta too, so ask membership
-            member, key = contains(S, element), "delta"
-            values = delta_of_element(S, element) if member else ()
-        if not member:
+        values = length_set(S, element)
+        if not values:
             raise NotInSemigroupError(f"{args.element} is not in the semigroup")
+        key = "length_set"
+        if args.command == "delta-element":
+            key, values = "delta", delta_of_lengths(values)
         payload = {"element": _scalarize(S, element), key: list(values)}
         return _emit(args, payload, [" ".join(str(v) for v in values)])
 

@@ -275,10 +275,14 @@ def length_set(S: AffineSemigroup, gamma: int | Sequence[int]) -> tuple[int, ...
     return tuple(sorted({sum(z) for z in factorizations(S, gamma)}))
 
 
+def delta_of_lengths(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted distinct successive differences of a sorted length set."""
+    return tuple(sorted({b - a for a, b in zip(lengths, lengths[1:])}))
+
+
 def delta_of_element(S: AffineSemigroup, gamma: int | Sequence[int]) -> tuple[int, ...]:
     """Successive differences of the length set; empty when fewer than two lengths."""
-    lengths = length_set(S, gamma)
-    return tuple(sorted({b - a for a, b in zip(lengths, lengths[1:])}))
+    return delta_of_lengths(length_set(S, gamma))
 
 
 def dist(z: Vector, w: Vector) -> int:

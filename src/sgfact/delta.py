@@ -20,7 +20,7 @@ ch. 8 §4, Thm 4).
 
 from __future__ import annotations
 
-from .core import AffineSemigroup, affine_semigroup
+from .core import AffineSemigroup
 from .errors import ConstructionError
 from .grobner import (
     BinomialIdealBasis,
@@ -38,12 +38,12 @@ from .hilbert import graver_basis
 def homogenize(S: AffineSemigroup) -> AffineSemigroup:
     """The semigroup generated by (1,0) and (1, atom) for every atom, one dimension up.
 
-    All generators share first coordinate 1, so they are automatically the
-    minimal generating set, and sorting puts the extra generator (1, 0...) first
-    and keeps the atoms of S, already sorted, in their order after it.
+    All generators share first coordinate 1, so they are the minimal generating
+    set, already sorted: the extra generator (1, 0...) comes first, and the
+    atoms of S keep their sorted order after it.  No search is needed.
     """
     gens = [(1,) + (0,) * S.dim] + [(1,) + atom for atom in S.generators]
-    return affine_semigroup(gens)
+    return AffineSemigroup(S.dim + 1, tuple(gens))
 
 
 def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:

@@ -2,9 +2,11 @@
 
 A minimal presentation is assembled fiber by fiber: the candidate values are
 those of the members of the defining ideal's reduced Groebner basis, which
-include every Betti value.  At each candidate the factorization fiber is
-split into components of the shared-support graph; a fiber with c >= 2
-components contributes c - 1 star relations.
+include every Betti value.  Two factorizations of one value lie in the same
+R-class when a chain of factorizations, each sharing an atom with the next,
+joins them (Briales, Campillo, Marijuan and Pison, JPAA 1998).  One pass over
+the sorted fiber finds the classes from support bitmasks, bit i for atom i as
+in :mod:`~sgfact.catenary`; a fiber with c classes contributes c - 1 relations.
 """
 
 from __future__ import annotations
@@ -21,55 +23,41 @@ def _betti_candidates(S: AffineSemigroup) -> list[Vector]:
     return sorted({value_of(S, b.plus) for b in ideal.binomials})
 
 
-def _support_components(fiber: tuple[Vector, ...]) -> list[list[Vector]]:
-    """Partition a fiber by the graph joining factorizations with overlapping support."""
-    parent = list(range(len(fiber)))
+def _class_minima(fiber: tuple[Vector, ...]) -> list[Vector]:
+    """The least member of each R-class of a sorted fiber, in ascending order.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    k = len(fiber[0]) if fiber else 0
-    for coord in range(k):
-        first = None
-        for idx, z in enumerate(fiber):
-            if z[coord]:
-                if first is None:
-                    first = idx
-                else:
-                    parent[find(idx)] = find(first)
-    groups: dict[int, list[Vector]] = {}
-    for idx, z in enumerate(fiber):
-        groups.setdefault(find(idx), []).append(z)
-    return sorted(groups.values(), key=lambda g: min(g))
+    Each class is kept as (atom bitmask, least member).  A factorization
+    merges every class whose atoms it shares, so the masks stay pairwise
+    disjoint; the fiber is sorted, so the least of the merged leasts is the
+    least member of the merged class.
+    """
+    classes: list[tuple[int, Vector]] = []
+    for z in fiber:
+        mask, least, kept = sum(1 << i for i, c in enumerate(z) if c), z, []
+        for m, rep in classes:
+            if m & mask:  # the masks are disjoint: a grown mask meets only classes z meets
+                mask, least = mask | m, min(least, rep)
+            else:
+                kept.append((m, rep))
+        classes = kept + [(mask, least)]
+    return sorted(least for _, least in classes)
 
 
 def minimal_presentation(S: AffineSemigroup) -> tuple[Pair, ...]:
     """An irredundant generating set of the kernel congruence of the semigroup.
 
     Presentations are not unique; this one is canonical: at every Betti value
-    the relations form a star from the lexicographically least factorization
-    to the least member of each other support component.  Pairs are oriented
-    larger-side-first and sorted.
+    the relations form a star to the lexicographically least factorization
+    from the least member of each other R-class.  Each pair has its larger
+    side first, and the pairs are sorted.
     """
     relations: list[Pair] = []
     for value in _betti_candidates(S):
-        fiber = factorizations(S, value)
-        if len(fiber) <= 1:
-            continue
-        components = _support_components(fiber)
-        if len(components) <= 1:
-            continue
-        center = components[0][0]  # lex-least member of the whole fiber
-        for comp in components[1:]:
-            rep = min(comp)
-            relations.append((rep, center) if rep > center else (center, rep))
+        center, *others = _class_minima(factorizations(S, value))
+        relations += [(rep, center) for rep in others]
     return tuple(sorted(relations))
 
 
 def betti_elements(S: AffineSemigroup) -> tuple[Vector, ...]:
     """Values of the relations in a minimal presentation (independent of the choice)."""
     return tuple(sorted({value_of(S, z) for z, _ in minimal_presentation(S)}))
-

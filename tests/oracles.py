@@ -3,12 +3,13 @@
 Everything here enumerates boxes with itertools and checks definitions
 directly, or runs the plain textbook loop; none of it shares code with the
 search engines it is used to verify beyond the binomial and term-order types.
-Four exceptions: ``delta_bounds`` derives a cheap bracket of the delta set
+Five exceptions: ``delta_bounds`` derives a cheap bracket of the delta set
 from the public presentation and element-delta functions,
 ``reference_graver`` starts from the library's lattice basis,
 ``reference_lex_delta_basis`` runs the library's toric-ideal and Buchberger
-engines on the homogenized semigroup, and ``reference_tame_i`` takes the
-library's shifted-ideal minimals and fibers.  ``cpu_limit`` is no oracle but
+engines on the homogenized semigroup, ``reference_tame_i`` takes the
+library's shifted-ideal minimals and fibers, and ``reference_presentation``
+takes the library's Graver basis and fibers.  ``cpu_limit`` is no oracle but
 a guard the test modules share.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 import signal
+from collections import deque
 from contextlib import contextmanager
 from itertools import combinations, count, product
 from math import gcd
@@ -27,7 +29,7 @@ from sgfact import AffineSemigroup, affine_semigroup, delta_of_element
 from sgfact.core import factorizations, value_of
 from sgfact.delta import homogenize
 from sgfact.grobner import Binomial, TermOrder, binomial, buchberger, reduce_basis, toric_ideal
-from sgfact.hilbert import integer_kernel_basis
+from sgfact.hilbert import graver_basis, integer_kernel_basis
 from sgfact.presentation import minimal_presentation
 from sgfact.tame import minimals_principal_ideal
 
@@ -404,3 +406,34 @@ def reference_lex_delta_basis(S: AffineSemigroup):
     order = TermOrder.lex(len(hom.generators))
     gens = [binomial(b.plus, b.minus, order) for b in toric_ideal(hom).binomials]
     return reduce_basis(buchberger(gens, order))
+
+
+def reference_presentation(S: AffineSemigroup, max_fiber: int = 150):
+    """The canonical star presentation of ``minimal_presentation``, or None when
+    some candidate fiber has more than ``max_fiber`` members.
+
+    The candidates are the Graver values, a superset of the Betti values.  The
+    R-classes of a fiber are the components of the graph joining every pair of
+    factorizations that share an atom, found by breadth-first search.  Each
+    class without the lex-least factorization of the fiber gives the pair
+    (its least member, that factorization).
+    """
+    relations = []
+    for value in sorted({value_of(S, z) for z, _ in graver_basis(S)}):
+        fiber = factorizations(S, value)
+        if len(fiber) > max_fiber:
+            return None
+        unseen, minima = set(fiber), []
+        while unseen:
+            start = unseen.pop()
+            queue, members = deque([start]), [start]
+            while queue:
+                z = queue.popleft()
+                for w in [w for w in unseen if any(a and b for a, b in zip(z, w))]:
+                    unseen.remove(w)
+                    queue.append(w)
+                    members.append(w)
+            minima.append(min(members))
+        center = min(minima)
+        relations += [(least, center) for least in minima if least != center]
+    return tuple(sorted(relations))

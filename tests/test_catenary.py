@@ -314,3 +314,12 @@ class TestBudget:
             assert catenary_range(s_11_36_39, 200) == entries
         with step_limit(451):
             assert mwst(s_11_36_39, 450) == tree
+
+    def test_naive_counts_one_step_per_pair(self):
+        # 22 factorizations, 231 pairs; the fiber search itself takes 72 nodes
+        s = affine_semigroup([3, 5, 7])
+        assert len(factorizations(s, 60)) == 22
+        with step_limit(231):
+            assert catenary_naive(s, 60) == 4
+        with step_limit(230), pytest.raises(ResourceLimitError):
+            catenary_naive(s, 60)

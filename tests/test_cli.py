@@ -67,6 +67,12 @@ class TestSuccess:
         assert run(argv) == (0, plain)
         assert run(argv + ["--format", "json"]) == (0, json_out)
 
+    def test_delta_of_single_length_member(self):
+        # 3 has one factorization in <3,4,5>: a member, so exit 0 with an empty delta
+        argv = ["delta-element", "--gens", "3 4 5", "--element", "3"]
+        assert run(argv) == (0, "")
+        assert run(argv + ["--format", "json"]) == (0, '{"delta":[],"element":3}\n')
+
     def test_betti(self):
         argv = ["betti", "--gens", "3 4 5"]
         assert run(argv) == (0, "8\n9\n10\n")
@@ -165,6 +171,9 @@ class TestSuccess:
         (["tame", "--equations", "{tmp}/full.json", "--max-steps", "1"], 4),
         # an empty delta does not by itself mean a non-member
         (["delta-element", "--gens", "3 4 5", "--element", "2"], 3),
+        # 1,544,403 pairs of factorizations, counted before the naive edge list is built
+        (["catenary", "--gens", "3 5 7", "--element", "600", "--method", "naive",
+          "--max-steps", "100000"], 4),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):

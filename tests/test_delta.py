@@ -56,6 +56,16 @@ class TestHomogenize:
         hom = homogenize(affine_semigroup([2, 3]))
         assert hom.generators == ((1, 0), (1, 2), (1, 3))
 
+    def test_matches_construction_from_the_same_generators(self):
+        rng = random.Random(16)
+        for trial in range(20):
+            if trial % 2:
+                s = random_affine_semigroup(rng, d=2, k_max=5, entry_max=6)
+            else:
+                s = random_numerical_semigroup(rng, k_max=5, atom_max=40)
+            gens = [(1,) + (0,) * s.dim] + [(1,) + atom for atom in reversed(s.generators)]
+            assert homogenize(s) == affine_semigroup(gens)
+
 
 @pytest.mark.parametrize("method", [delta_set_hilbert, delta_set_grobner])
 class TestKnownDeltaSets:

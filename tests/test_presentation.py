@@ -5,7 +5,7 @@ from sgfact.core import value_of
 from sgfact.grobner import binomial, buchberger, normal_form, toric_ideal
 from sgfact.presentation import betti_elements, minimal_presentation
 
-from oracles import delta_bounds
+from oracles import delta_bounds, random_affine_semigroup, reference_presentation
 
 # kernel dimension 7; the relations were recorded from the block-elimination
 # engine that toric_ideal replaced
@@ -87,6 +87,23 @@ class TestMinimalPresentation:
             for skip in range(len(relations)):
                 rest = relations[:skip] + relations[skip + 1 :]
                 assert not _same_ideal(rest, ideal)
+
+
+class TestAgainstReference:
+    def test_random_numerical_and_planar(self):
+        # the oracle declines instances with a candidate fiber too large to pair up
+        rng = random.Random(30)
+        compared = 0
+        for trial in range(30):
+            if trial % 2:
+                s = random_affine_semigroup(rng, d=2, k_max=5, entry_max=6)
+            else:
+                s = affine_semigroup(rng.sample(range(3, 30), rng.randint(3, 5)))
+            expected = reference_presentation(s)
+            if expected is not None:
+                compared += 1
+                assert minimal_presentation(s) == expected, s
+        assert compared >= 20
 
 
 class TestBettiElements:
