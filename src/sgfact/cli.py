@@ -7,11 +7,12 @@ text or compact JSON with sorted keys, vectors as integer arrays, every set
 sorted.
 
 ``--max-steps N`` runs the whole command under ``step_limit(N)``: every
-counting loop it starts (each factorization search, one step per node, the
-semigroup's construction included; the Graver queue pops, summed over every
-lift stage; the Hilbert frontier search; each Buchberger run; the catenary
-trees built one element at a time; the naive catenary degree, one step per
-pair of factorizations) aborts after N steps of its own.
+counting loop it starts (each factorization search, one step per node and
+one per factorization its closed-form two-atom tail emits, the semigroup's
+construction included; the Graver queue pops, summed over every lift stage;
+the Hilbert frontier search; each Buchberger run; the catenary trees built
+one element at a time; the naive catenary degree, one step per pair of
+factorizations) aborts after N steps of its own.
 
 Exit codes: 0 success, 2 parse/validation error (a negative ``--max-steps``
 included), 3 semantic error (element outside the semigroup, non-full input
@@ -150,7 +151,8 @@ def _add_common(parser: _Parser) -> None:
         "--max-steps",
         type=int,
         default=None,
-        help="abort any counting loop after N steps: nodes of one factorization search, "
+        help="abort any counting loop after N steps: nodes of one factorization search "
+        "plus the factorizations its two-atom tail emits, "
         "Graver queue pops summed over all lift stages, Hilbert frontier rows, S-pairs that "
         "survive the pair criteria in one Buchberger run, elements whose catenary tree is "
         "settled, or pairs of factorizations the naive catenary degree weighs",

@@ -7,7 +7,10 @@ to call concurrently on shared objects.
 One depth-first search over the atoms answers every element query in any
 dimension (see :func:`_dfs_plan`): it enumerates the factorizations for
 :func:`factorizations` and stops at the first for :func:`contains` and for the
-atom minimalization of :func:`affine_semigroup`.
+atom minimalization of :func:`affine_semigroup`.  The last two atoms are not
+searched but solved in closed form, so a two-atom fiber costs one node however
+large its element.  Under :func:`~sgfact.errors.step_limit` the search counts
+one step per node and one per factorization that closed form emits.
 """
 
 from __future__ import annotations
@@ -154,8 +157,10 @@ def _coordinate_bound(atom: Vector, gamma: Vector) -> int:
     return bound if bound is not None else 0
 
 
-def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[int], list[Vector], list[dict]]:
-    """Search order, weights, suffix row gcds and a memo of dead lines for the DFS.
+def _dfs_plan(
+    atoms: Sequence[Vector],
+) -> tuple[list[int], list[Vector], list[int], list[Vector], list[dict], tuple[int, int, int] | None]:
+    """Search order, weights, suffix row gcds, a memo of dead lines and a minor for the DFS.
 
     Heavy atoms (by coordinate sum, the weight) first: an atom with small
     support explored early has a huge branching factor; explored last, its
@@ -166,6 +171,13 @@ def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[in
     ``low + t*atom_j`` (``low`` lowest in N^dim), the largest t known to
     leave nothing; smaller t leave nothing either, so each line is walked
     once per plan, as a sieve walks each value once in dimension one.
+
+    The last two planned atoms a and b are solved, not searched.  The minor
+    ``(p, q, a_p*b_q - a_q*b_p)``, with p the first row where a is nonzero,
+    is a nonzero 2x2 minor of (a, b) for Cramer's rule.  It is None when a
+    and b are parallel (always in dimension one), as every minor on row p
+    then vanishes; c*a + d*b == rem is then solved on the weights by the
+    extended gcd.
     """
     order = sorted(range(len(atoms)), key=lambda j: (-sum(atoms[j]), atoms[j]))
     arranged = [atoms[j] for j in order]
@@ -173,7 +185,13 @@ def _dfs_plan(atoms: Sequence[Vector]) -> tuple[list[int], list[Vector], list[in
     for atom in reversed(arranged):
         suffix.append(tuple(map(gcd, atom, suffix[-1])))
     suffix.reverse()
-    return order, arranged, [sum(atom) for atom in arranged], suffix, [{} for _ in arranged]
+    minor = None
+    if len(arranged) >= 2:
+        a, b = arranged[-2:]
+        p = next(i for i, x in enumerate(a) if x)
+        dets = ((q, a[p] * b[q] - a[q] * b[p]) for q in range(len(a)))
+        minor = next(((p, q, det) for q, det in dets if det), None)
+    return order, arranged, [sum(atom) for atom in arranged], suffix, [{} for _ in arranged], minor
 
 
 def _suffix_feasible(rem: Vector, suffix_gcd: Vector) -> bool:
@@ -193,17 +211,24 @@ class _Found(Exception):
 def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
     """The factorizations of gamma over the planned atoms, unsorted; only one with ``first``.
 
-    Under :func:`~sgfact.errors.step_limit` every node of the search is one step.
+    Under :func:`~sgfact.errors.step_limit` the search counts one step per
+    node and one per factorization the tail emits.
     """
     if any(c < 0 for c in gamma):
         return []
     limit = _step_limit.get()
     steps = 0
-    order, arranged, weights, suffix, dead = plan
+    order, arranged, weights, suffix, dead, minor = plan
     k = len(arranged)
     lightest = weights[-1]
     out: list[Vector] = []
     coeffs = [0] * k
+    if k >= 2:
+        a, b = arranged[-2:]
+        wa, wb = weights[-2:]
+        g = gcd(wa, wb)
+        stride = wb // g
+        inverse = pow(wa // g, -1, stride)
 
     def emit() -> None:
         z = [0] * k
@@ -212,6 +237,33 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
         out.append(tuple(z))
         if first:
             raise _Found
+
+    def tail(rem: Vector, weight: int) -> None:
+        # the c with c * a + d * b == rem, d >= 0, form one progression
+        nonlocal steps
+        top = weight // wa
+        if minor is None:  # a, b parallel: solve c * wa + d * wb == weight
+            if weight % g:
+                return
+            c = weight // g * inverse % stride
+        else:  # Cramer's rule on rows p and q gives the only candidate
+            p, q, det = minor
+            c, rest = divmod(rem[p] * b[q] - rem[q] * b[p], det)
+            if rest or c < 0:
+                return
+            top = min(top, c)
+        # the first candidate checked in full vouches for the progression
+        d = (weight - c * wa) // wb
+        if c > top or rem != tuple([c * x + d * y for x, y in zip(a, b)]):
+            return
+        for c in range(c, top + 1, stride):
+            steps += 1
+            if limit is not None and steps > limit:
+                raise ResourceLimitError(limit)
+            coeffs[k - 2] = c
+            coeffs[k - 1] = (weight - c * wa) // wb
+            emit()
+        coeffs[k - 2] = coeffs[k - 1] = 0
 
     def rec(j: int, rem: Vector) -> None:
         nonlocal steps
@@ -234,6 +286,9 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
                 coeffs[j] = c
                 emit()
                 coeffs[j] = 0
+            return
+        if j == k - 2:
+            tail(rem, weight)
             return
         if not _suffix_feasible(rem, suffix[j]):
             return

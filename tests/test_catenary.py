@@ -316,7 +316,7 @@ class TestBudget:
             assert mwst(s_11_36_39, 450) == tree
 
     def test_naive_counts_one_step_per_pair(self):
-        # 22 factorizations, 231 pairs; the fiber search itself takes 72 nodes
+        # 22 factorizations, 231 pairs; the fiber search itself takes 32 steps
         s = affine_semigroup([3, 5, 7])
         assert len(factorizations(s, 60)) == 22
         with step_limit(231):

@@ -159,9 +159,10 @@ class TestSuccess:
         # Graver completion counts queue pops over every lift stage, on both routes to it
         (["graver", "--gens", "17 33 53 71", "--max-steps", "5"], 4),
         (["delta-set", "--gens", "17 33 53 71", "--method", "hilbert", "--max-steps", "5"], 4),
-        # the factorization search counts one step per node, however large the element
+        # the factorization search counts one step per node and one per factorization
+        # its two-atom tail emits, however large the element
         (["factorizations", "--gens", "3 5", "--element", "1000000000000", "--max-steps", "10"], 4),
-        (["length-set", "--gens", "1000003 1000033", "--element", "5000000000000",
+        (["length-set", "--gens", "1000003 1000033 1000037", "--element", "5000000000000",
           "--max-steps", "10"], 4),
         # a matrix without columns is rejected, not solved as a system in N^0
         (["hilbert", "--system", "{tmp}/no_columns_eq.json"], 2),

@@ -1,3 +1,7 @@
+import random
+from collections import Counter
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from sgfact import (
     length_set,
     step_limit,
 )
+from sgfact.core import _dfs_plan, value_of
 
 from oracles import (
     brute_factorizations,
@@ -191,8 +196,6 @@ class TestFactorizations:
             assert total == (2, 2)
 
     def test_agrees_with_brute_force_on_random_semigroups(self):
-        import random
-
         rng = random.Random(1234)
         for _ in range(20):
             k = rng.randint(2, 5)
@@ -203,19 +206,66 @@ class TestFactorizations:
                 brute_factorizations(s.generators, gamma)
             )
 
+    def test_two_atom_tail_agrees_with_brute_force(self):
+        # the search solves its last two planned atoms in closed form: by
+        # Cramer's rule when they are independent, as one progression when
+        # they are parallel; an injected pair (2u, 3u) of light atoms puts
+        # the parallel branch in dimensions 2 and 3 as well
+        rng = random.Random(2017)
+        branches = Counter()
+        for trial in range(400):
+            d = rng.randint(1, 3)
+            gens = [tuple(rng.randint(0, 6) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+            if trial % 2:
+                u = tuple(rng.randint(0, 1) for _ in range(d))
+                gens += [tuple(2 * x for x in u), tuple(3 * x for x in u)]
+            gens = [g for g in gens if any(g)]
+            if not gens:
+                continue
+            s = affine_semigroup(gens)
+            if rng.random() < 0.5:
+                gamma = tuple(rng.randint(0, 20) for _ in range(d))
+            else:
+                gamma = value_of(s, tuple(rng.randint(0, 4) for _ in s.generators))
+            box = prod(min(c // g for c, g in zip(gamma, atom) if g) + 1 for atom in s.generators)
+            if box > 20000:
+                continue
+            expected = tuple(brute_factorizations(s.generators, gamma))
+            assert factorizations(s, gamma) == expected, (s, gamma)
+            assert contains(s, gamma) == bool(expected), (s, gamma)
+            if len(s.generators) >= 2 and d >= 2:
+                branches["parallel" if _dfs_plan(s.generators)[-1] is None else "cramer"] += 1
+        assert branches["parallel"] >= 20 and branches["cramer"] >= 50, branches
+
 
 class TestBudget:
-    # one step per node of the factorization search
+    # one step per node of the factorization search and one per factorization
+    # its closed-form two-atom tail emits
     def test_limit_stops_factorizations(self):
         s = affine_semigroup([3, 5])
         with step_limit(10), pytest.raises(ResourceLimitError):
             factorizations(s, 10**12)
 
     def test_limit_stops_contains(self):
-        # the Frobenius number: every multiplicity of the heavier atom is tried
-        s = affine_semigroup([1000003, 1000033])
+        # two atoms are solved in one node, but with a third the search tries
+        # many multiplicities of the heaviest before the first factorization
+        s = affine_semigroup([1000003, 1000033, 1000037])
         with step_limit(10), pytest.raises(ResourceLimitError):
-            contains(s, 1000003 * 1000033 - 1000003 - 1000033)
+            contains(s, 10**12 + 1)
+
+    def test_tail_counts_each_emitted_factorization(self):
+        # the two planned atoms are parallel, so the fiber is one progression
+        # found in a single node; only its 166,667 members can use up the
+        # budget (an element small enough that an uncounted fiber still fits
+        # in memory and the test fails instead)
+        s = affine_semigroup([(2, 2), (3, 3)])
+        with step_limit(10), pytest.raises(ResourceLimitError):
+            factorizations(s, (10**6, 10**6))
+        # (12, 12) has three factorizations: one node and three emitted
+        with step_limit(4):
+            assert factorizations(s, (12, 12)) == ((0, 4), (3, 2), (6, 0))
+        with step_limit(3), pytest.raises(ResourceLimitError):
+            factorizations(s, (12, 12))
 
     def test_large_enough_limit_gives_unlimited_output(self):
         s = affine_semigroup([11, 36, 39])

@@ -94,7 +94,8 @@ class TestKnownDeltaSets:
 
     def test_two_large_atoms(self, method):
         # the only factorization pair of 1000003 * 1000033 is 10^6 atoms
-        # apart; a route that enumerates that fiber tries every multiplicity
+        # apart; a route that searched that fiber one multiplicity at a time
+        # would try about 10^6 of them
         with cpu_limit(1):
             assert method(affine_semigroup([1000003, 1000033])) == (30,)
 

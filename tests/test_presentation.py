@@ -1,11 +1,11 @@
 import random
 
-from sgfact import affine_semigroup, graver_basis
+from sgfact import affine_semigroup, contains, graver_basis
 from sgfact.core import value_of
 from sgfact.grobner import binomial, buchberger, normal_form, toric_ideal
 from sgfact.presentation import betti_elements, minimal_presentation
 
-from oracles import delta_bounds, random_affine_semigroup, reference_presentation
+from oracles import cpu_limit, delta_bounds, random_affine_semigroup, reference_presentation
 
 # kernel dimension 7; the relations were recorded from the block-elimination
 # engine that toric_ideal replaced
@@ -104,6 +104,23 @@ class TestAgainstReference:
                 compared += 1
                 assert minimal_presentation(s) == expected, s
         assert compared >= 20
+
+
+class TestTwoLargeAtoms:
+    # the fibers of <1000003, 1000033> are solved in closed form; a search
+    # over the multiplicities of one atom would try about 10^6 of them
+    S = affine_semigroup([1000003, 1000033])
+
+    def test_presentation_and_betti_element(self):
+        with cpu_limit(0.5):
+            assert minimal_presentation(self.S) == (((1000033, 0), (0, 1000003)),)
+        with cpu_limit(0.5):
+            assert betti_elements(self.S) == ((1000003 * 1000033,),)
+
+    def test_frobenius_number_and_betti_element_membership(self):
+        with cpu_limit(0.5):
+            assert not contains(self.S, 1000003 * 1000033 - 1000003 - 1000033)
+            assert contains(self.S, 1000003 * 1000033)
 
 
 class TestBettiElements:
