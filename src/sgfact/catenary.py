@@ -37,13 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import _INT_LIMIT, AffineSemigroup, Vector, as_vector, dist, factorizations, vsub
-from .errors import (
-    ConstructionError,
-    NotInSemigroupError,
-    ResourceLimitError,
-    UnsupportedDimensionError,
-    _step_limit,
-)
+from .errors import ConstructionError, NotInSemigroupError, UnsupportedDimensionError, _Budget
 
 Edge = tuple[int, Vector, Vector]  # (weight, smaller endpoint, larger endpoint)
 # sorted vertex codes, their lengths, their support bitmasks, sorted (weight, i, j) index edges
@@ -111,8 +105,7 @@ def catenary_naive(S: AffineSemigroup, gamma: int | Vector) -> int:
         raise NotInSemigroupError(f"{gamma} has no factorization")
     if len(fiber) == 1:
         return 0
-    if (limit := _step_limit.get()) is not None and len(fiber) * (len(fiber) - 1) // 2 > limit:
-        raise ResourceLimitError(limit)
+    _Budget().spend(len(fiber) * (len(fiber) - 1) // 2)
     edges = sorted(
         (dist(fiber[i], fiber[j]), i, j)
         for i in range(len(fiber))
@@ -191,7 +184,8 @@ def _descent_set(S: AffineSemigroup, gamma: Vector, memo: Memo) -> list[Vector]:
     it was settled first.  Under :func:`~sgfact.errors.step_limit` every
     element found is one step, since each is settled next.
     """
-    limit = _step_limit.get()
+    spend = _Budget().spend
+    spend()
     seen = {gamma}
     queue = [gamma]
     while queue:
@@ -199,10 +193,9 @@ def _descent_set(S: AffineSemigroup, gamma: Vector, memo: Memo) -> list[Vector]:
         for atom in S.generators:
             child = vsub(current, atom)
             if min(child) >= 0 and child not in seen and child not in memo:
+                spend()
                 seen.add(child)
                 queue.append(child)
-        if limit is not None and len(seen) > limit:
-            raise ResourceLimitError(limit)
     return sorted(seen, key=lambda v: (sum(v), v))
 
 
@@ -256,13 +249,12 @@ def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
     """
     if S.dim != 1:
         raise UnsupportedDimensionError("ascending sweep requires a numerical semigroup")
-    limit = _step_limit.get()
+    spend = _Budget().spend
     top = max(a[0] for a in S.generators)
     memo: Memo = {}
     results: list[tuple[int, int]] = []
     for gamma in range(bound + 1):
-        if limit is not None and gamma >= limit:  # gamma + 1 elements settled
-            raise ResourceLimitError(limit)
+        spend()
         if gamma >= _INT_LIMIT:
             raise ConstructionError(f"element {gamma} exceeds the supported integer range")
         tree = _settle(S, memo, (gamma,))

@@ -93,12 +93,18 @@ def _parse_generators(text: str) -> list[Vector]:
         raise _UsageError(f"malformed generator list {text!r}") from None
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; an unreadable or undecodable file is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _load_json(path: str) -> dict:
+    try:
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -114,12 +120,7 @@ def _semigroup_from_args(args) -> AffineSemigroup:
         text = sys.stdin.read() if args.gens == "-" else args.gens
         return affine_semigroup(_parse_generators(text))
     if args.gens_file:
-        try:
-            with open(args.gens_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.gens_file}: {exc}") from None
-        return affine_semigroup(_parse_generators(text))
+        return affine_semigroup(_parse_generators(_read_text(args.gens_file)))
     data = _load_json(args.equations)
     if "matrix" not in data or "moduli" not in data:
         raise _UsageError(f"{args.equations}: need keys 'matrix' and 'moduli'")

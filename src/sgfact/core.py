@@ -7,10 +7,12 @@ to call concurrently on shared objects.
 One depth-first search over the atoms answers every element query in any
 dimension (see :func:`_dfs_plan`): it enumerates the factorizations for
 :func:`factorizations` and stops at the first for :func:`contains` and for the
-atom minimalization of :func:`affine_semigroup`.  The last two atoms are not
-searched but solved in closed form, so a two-atom fiber costs one node however
-large its element.  Under :func:`~sgfact.errors.step_limit` the search counts
-one step per node and one per factorization that closed form emits.
+atom minimalization of :func:`affine_semigroup`.  Both modes skip the lines
+of residues already known to leave nothing, from one memo per plan.  The last
+two atoms are not searched but solved in closed form, so a two-atom fiber
+costs one node however large its element.  Under
+:func:`~sgfact.errors.step_limit` the search counts one step per node and one
+per factorization that closed form emits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ConstructionError, DimensionMismatchError, ResourceLimitError, _step_limit
+from .errors import ConstructionError, DimensionMismatchError, _Budget
 
 if TYPE_CHECKING:
     from .hilbert import DiophantineSystem
@@ -166,11 +168,12 @@ def _dfs_plan(
     support explored early has a huge branching factor; explored last, its
     multiplicity is forced.  A residue skips the atoms heavier than itself,
     and its branch ends unless some length L has L * lightest <= weight <=
-    L * heaviest left and the suffix row gcds divide it.  A search that
-    stops at the first factorization records, per position j and line
-    ``low + t*atom_j`` (``low`` lowest in N^dim), the largest t known to
-    leave nothing; smaller t leave nothing either, so each line is walked
-    once per plan, as a sieve walks each value once in dimension one.
+    L * heaviest left and the suffix row gcds divide it.  Every search,
+    enumerating or stopping at the first factorization, records per
+    position j and line ``low + t*atom_j`` (``low`` lowest in N^dim) the
+    largest t up to which every t leaves nothing, and starts past it next
+    time.  A search that stops at the first factorization thus walks each
+    line once per plan, as a sieve walks each value once in dimension one.
 
     The last two planned atoms a and b are solved, not searched.  The minor
     ``(p, q, a_p*b_q - a_q*b_p)``, with p the first row where a is nonzero,
@@ -216,8 +219,7 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
     """
     if any(c < 0 for c in gamma):
         return []
-    limit = _step_limit.get()
-    steps = 0
+    spend = _Budget().spend
     order, arranged, weights, suffix, dead, minor = plan
     k = len(arranged)
     lightest = weights[-1]
@@ -240,7 +242,6 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
 
     def tail(rem: Vector, weight: int) -> None:
         # the c with c * a + d * b == rem, d >= 0, form one progression
-        nonlocal steps
         top = weight // wa
         if minor is None:  # a, b parallel: solve c * wa + d * wb == weight
             if weight % g:
@@ -257,19 +258,14 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
         if c > top or rem != tuple([c * x + d * y for x, y in zip(a, b)]):
             return
         for c in range(c, top + 1, stride):
-            steps += 1
-            if limit is not None and steps > limit:
-                raise ResourceLimitError(limit)
+            spend()
             coeffs[k - 2] = c
             coeffs[k - 1] = (weight - c * wa) // wb
             emit()
         coeffs[k - 2] = coeffs[k - 1] = 0
 
     def rec(j: int, rem: Vector) -> None:
-        nonlocal steps
-        steps += 1
-        if limit is not None and steps > limit:
-            raise ResourceLimitError(limit)
+        spend()
         weight = sum(rem)
         if not weight:
             emit()  # rem is zero: the remaining multiplicities are all zero
@@ -293,18 +289,17 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
         if not _suffix_feasible(rem, suffix[j]):
             return
         top = _coordinate_bound(atom, rem)
-        skip = 0
-        if first:
-            low = tuple(r - top * a for r, a in zip(rem, atom))
-            skip = dead[j].get(low, -1) + 1
-            if skip > top:
-                return
-        for c in range(top - skip, -1, -1):
+        low = tuple([r - top * a for r, a in zip(rem, atom)]) if top else rem
+        lines = dead[j]
+        found = len(out)
+        # rem - c * atom == low + (top - c) * atom: skip the dead start of the line
+        # (c == 0 leaves rem itself, top == 0 makes rem the lowest point)
+        for c in range(top - lines.get(low, -1) - 1, -1, -1):
             coeffs[j] = c
-            rec(j + 1, tuple(r - c * a for r, a in zip(rem, atom)))
+            rec(j + 1, tuple([r - c * a for r, a in zip(rem, atom)]) if c else rem)
+            if len(out) == found:
+                lines[low] = top - c
         coeffs[j] = 0
-        if first:
-            dead[j][low] = top
 
     try:
         rec(0, gamma)

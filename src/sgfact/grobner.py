@@ -11,9 +11,10 @@ chain criterion drops pending pairs, and criteria M and F and the coprime
 criterion drop the new member's own pairs.  Division looks up the first
 divisor in basis order on a numpy matrix of leading exponents that grows
 with the basis.  The matrix holds exponents clipped at 2^62 and only
-preselects; every hit is confirmed on the exact tuples.  One loop,
-``_LeadIndex.reduce``, fully reduces a term: the trailing side of a normal
-form and each trailing term of a reduced basis.
+preselects; every hit is confirmed on the exact tuples.  A
+:class:`BinomialIdealBasis` is its members with that matrix, and one loop,
+its ``reduce``, fully reduces a term: the trailing side of a normal form and
+each trailing term of a reduced basis.
 
 Binomials are NOT normalized by cancelling a common monomial factor.  That
 cancellation is only sound for saturated (toric) ideals; the ascending-chain
@@ -27,13 +28,12 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import _INT_LIMIT, AffineSemigroup, Vector, vadd, vsub
-from .errors import ConstructionError, ResourceLimitError, _step_limit
+from .errors import ConstructionError, _Budget
 from .hilbert import integer_kernel_basis
 
 
@@ -117,16 +117,6 @@ def binomial(a: Vector, b: Vector, order: TermOrder) -> Binomial:
     return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
 
 
-@dataclass(frozen=True)
-class BinomialIdealBasis:
-    binomials: tuple[Binomial, ...]
-    order: TermOrder
-
-    @cached_property
-    def _index(self) -> "_LeadIndex":
-        return _LeadIndex(self.order, self.binomials)
-
-
 def _divides(a: Vector, b: Vector) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -162,15 +152,28 @@ class _Rows:
         return self.mat[: self.count]
 
 
-class _LeadIndex:
-    """The members of a growing basis, with their leading exponents as rows."""
+class BinomialIdealBasis:
+    """The members of a basis in basis order, with their leading exponents as rows.
 
-    def __init__(self, order: TermOrder, members: Iterable[Binomial] = ()):
+    Members are nonzero binomials.  The basis grows by :meth:`add`; bases
+    are equal when their orders and member lists are.
+    """
+
+    def __init__(self, binomials: Iterable[Binomial], order: TermOrder):
         self.order = order
         self.members: list[Binomial] = []
         self.leads = _Rows(order.nvars)
-        for b in members:
+        for b in binomials:
             self.add(b)
+
+    @property
+    def binomials(self) -> tuple[Binomial, ...]:
+        return tuple(self.members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinomialIdealBasis):
+            return NotImplemented
+        return (self.order, self.members) == (other.order, other.members)
 
     def add(self, b: Binomial) -> None:
         self.members.append(b)
@@ -203,26 +206,16 @@ def normal_form(f: Binomial, G: BinomialIdealBasis) -> Binomial:
     """
     if f.is_zero:
         return ZERO
-    index, order = G._index, G.order
+    order = G.order
     plus, minus = f.plus, f.minus
-    while (g := index.divisor(plus)) is not None:
+    while (g := G.divisor(plus)) is not None:
         plus = vadd(vsub(plus, g.plus), g.minus)
         if plus == minus:
             return ZERO
         if order.greater(minus, plus):
             plus, minus = minus, plus
     # every rewrite of the trailing side makes it smaller, so it stays below plus
-    return Binomial(plus, index.reduce(minus))
-
-
-def _view(index: _LeadIndex) -> BinomialIdealBasis:
-    """The current members of a growing index, as a basis that divides through it.
-
-    The index keeps growing, so a view is used only until the next member arrives.
-    """
-    G = BinomialIdealBasis(tuple(index.members), index.order)
-    G.__dict__["_index"] = index  # seeds the cached property
-    return G
+    return Binomial(plus, G.reduce(minus))
 
 
 def spair(f: Binomial, g: Binomial, order: TermOrder) -> Binomial:
@@ -249,17 +242,17 @@ def buchberger_extend(G: BinomialIdealBasis, new_gens: Iterable[Binomial]) -> Bi
 
     The members of G form a settled prefix: pairs inside it are never formed,
     and only pairs with a new member enter the queue, under the criteria and
-    the step count of ``buchberger``.
+    the step count of ``buchberger``.  G itself is left as it is.
     """
-    return _buchberger_extend(list(G.binomials), new_gens, G.order)
+    return _buchberger_extend(G.members, new_gens, G.order)
 
 
 def _buchberger_extend(
     prefix: list[Binomial], gens: Iterable[Binomial], order: TermOrder
 ) -> BinomialIdealBasis:
-    limit = _step_limit.get()
-    index = _LeadIndex(order, prefix)
-    basis = index.members
+    budget = _Budget()
+    G = BinomialIdealBasis(prefix, order)
+    basis = G.members
     counter = itertools.count()
     queue: list[tuple[tuple, int]] = []
     lcms = _Rows(order.nvars)  # row c: the lcm of the c-th pair queued
@@ -279,8 +272,8 @@ def _buchberger_extend(
                 del pending[c]
         if not k:
             return
-        leads = index.leads.rows[:k]
-        row = index.leads.rows[k]
+        leads = G.leads.rows[:k]
+        row = G.leads.rows[k]
         ends = np.maximum(leads, row)
         coprime = ~((leads > 0) & (row > 0)).any(axis=1)
         # criteria M and F: (i, k) is redundant when some (j, k) has an lcm that
@@ -308,30 +301,25 @@ def _buchberger_extend(
 
     for b in gens:
         if not b.is_zero:
-            index.add(b)
+            G.add(b)
             install(len(basis) - 1)
 
-    steps = 0
-    current = _view(index)
     while queue:
         _, c = heapq.heappop(queue)
         pair = pending.pop(c, None)
         if pair is None:
             continue
-        steps += 1
-        if limit is not None and steps > limit:
-            raise ResourceLimitError(limit)
+        budget.spend()
         i, j, _ = pair
         s = spair(basis[i], basis[j], order)
         if s.is_zero:
             continue
-        r = normal_form(s, current)
+        r = normal_form(s, G)
         if r.is_zero:
             continue
-        index.add(r)
+        G.add(r)
         install(len(basis) - 1)
-        current = _view(index)
-    return current
+    return G
 
 
 def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
@@ -342,20 +330,20 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
     canonically sorted, independent of the input presentation.
     """
     order = G.order
-    members = sorted((b for b in G.binomials if not b.is_zero), key=lambda b: order.key(b.plus))
-    index = _LeadIndex(order)
+    members = sorted(G.members, key=lambda b: order.key(b.plus))
+    reduced = BinomialIdealBasis((), order)
     for b in members:
-        if index.divisor(b.plus) is None:
-            index.add(b)
-    minimal = index.members
+        if reduced.divisor(b.plus) is None:
+            reduced.add(b)
+    minimal = reduced.members
     # no other leading term divides a member's own, and its own divides no
     # smaller term, so only the trailing term is rewritten and the row stays
     # valid.  The input is a Groebner basis, so one pass leaves every member
     # with the canonical, fully reduced trailing term
     for i, b in enumerate(minimal):
-        minimal[i] = Binomial(b.plus, index.reduce(b.minus))
+        minimal[i] = Binomial(b.plus, reduced.reduce(b.minus))
     minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
-    return BinomialIdealBasis(tuple(minimal), order)
+    return BinomialIdealBasis(minimal, order)
 
 
 def toric_ideal(S: AffineSemigroup) -> BinomialIdealBasis:

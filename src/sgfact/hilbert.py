@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import AffineSemigroup, Vector, as_matrix, as_vector
-from .errors import ConstructionError, ResourceLimitError, _step_limit
+from .errors import ConstructionError, _Budget
 
 _INT_GUARD = 1 << 41
 
@@ -207,8 +207,8 @@ class _KernelStore:
         return s
 
 
-def _lift(vectors: list[Vector], store: _KernelStore, steps: int, limit: int | None) -> int:
-    """Complete ``vectors`` into ``store`` on its prefix; return the running step count.
+def _lift(vectors: list[Vector], store: _KernelStore, budget: _Budget) -> None:
+    """Complete ``vectors`` into ``store`` on its prefix, one step per queue pop.
 
     The vectors must have the positive sum property on one coordinate fewer
     than the store's width: every lattice vector is a sum of them (and their
@@ -243,13 +243,10 @@ def _lift(vectors: list[Vector], store: _KernelStore, steps: int, limit: int | N
             admit(red)
     while queue:
         _, _, s = heapq.heappop(queue)
-        steps += 1
-        if limit is not None and steps > limit:
-            raise ResourceLimitError(limit)
+        budget.spend()
         red = store.reduce(s)
         if any(red[: store.width]):
             admit(red)
-    return steps
 
 
 def primitive_kernel_vectors(matrix: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
@@ -273,7 +270,7 @@ def primitive_kernel_vectors(matrix: Sequence[Sequence[int]]) -> tuple[Vector, .
     :func:`~sgfact.errors.step_limit` every vector taken off a queue is one
     step, summed over all stages.
     """
-    limit = _step_limit.get()
+    budget = _Budget()
     basis = integer_kernel_basis(matrix)
     if not basis:
         return ()
@@ -282,13 +279,12 @@ def primitive_kernel_vectors(matrix: Sequence[Sequence[int]]) -> tuple[Vector, .
     echelon = {j: tuple(p) for j in range(len(basis[0])) if (p := _pivot(rows, j))}
     _guard(np.array(list(echelon.values()), dtype=object))
     vectors: list[Vector] = []
-    steps = 0
     for width in range(1, len(basis[0]) + 1):
         if width - 1 in echelon:
             vectors.append(echelon[width - 1])
         if vectors:
             store = _KernelStore(width)
-            steps = _lift(vectors, store, steps, limit)
+            _lift(vectors, store, budget)
             vectors = store.tuples
     primitive = [
         v
@@ -330,7 +326,7 @@ def _minimal_nonneg_solutions(
     solutions that would fence the search in are not solutions of the
     inhomogeneous system).
     """
-    limit = _step_limit.get()
+    budget = _Budget()
     ncols = a.shape[1]
     if b.any():
         frontier = np.zeros((1, ncols), dtype=np.int64)
@@ -338,7 +334,6 @@ def _minimal_nonneg_solutions(
         frontier = np.eye(ncols, dtype=np.int64)
     minimal = np.zeros((0, ncols), dtype=np.int64)
     found: list[Vector] = []
-    steps = 0
     while len(frontier):
         frontier = np.unique(frontier, axis=0)
         if len(minimal):
@@ -367,9 +362,7 @@ def _minimal_nonneg_solutions(
                 block[:, j] += 1
                 children.append(block)
         frontier = np.vstack(children) if children else np.zeros((0, ncols), np.int64)
-        steps += len(frontier)
-        if limit is not None and steps > limit:
-            raise ResourceLimitError(limit)
+        budget.spend(len(frontier))
     return sorted(found)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -123,6 +124,15 @@ class TestSuccess:
         assert run(argv) == (0, "16\n")
         assert run(argv + ["--format", "json"]) == (0, '{"catenary":16,"element":450}\n')
 
+    def test_gens_file(self, tmp_path):
+        path = tmp_path / "gens.txt"
+        path.write_text("6 9 20\n")
+        assert run(["betti", "--gens-file", str(path)]) == (0, "18\n60\n")
+
+    def test_gens_from_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("6 9 20\n"))
+        assert run(["betti", "--gens", "-"]) == (0, "18\n60\n")
+
 
 @pytest.mark.parametrize(
     "argv, code",
@@ -175,6 +185,15 @@ class TestSuccess:
         # 1,544,403 pairs of factorizations, counted before the naive edge list is built
         (["catenary", "--gens", "3 5 7", "--element", "600", "--method", "naive",
           "--max-steps", "100000"], 4),
+        # a generator file that is missing, a directory, or given with another source
+        (["betti", "--gens-file", "{tmp}/missing.txt"], 2),
+        (["betti", "--gens-file", "{tmp}"], 2),
+        (["betti", "--gens", "6 9 20", "--gens-file", "{tmp}/gens.txt"], 2),
+        (["betti", "--gens-file", "{tmp}/gens.txt", "--equations", "{tmp}/full.json"], 2),
+        # a file that is not UTF-8, behind each of the three file flags
+        (["betti", "--gens-file", "{tmp}/bad.txt"], 2),
+        (["tame", "--equations", "{tmp}/bad.txt"], 2),
+        (["hilbert", "--system", "{tmp}/bad.txt"], 2),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):
@@ -193,6 +212,9 @@ def test_error_exit_codes(argv, code, capsys, tmp_path):
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    (tmp_path / "gens.txt").write_text("6 9 20\n")
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run(argv) == (code, "")
     assert capsys.readouterr().err.startswith("sgfact: error: ")
+

@@ -19,7 +19,7 @@ from sgfact import (
     length_set,
     step_limit,
 )
-from sgfact.core import _dfs_plan, value_of
+from sgfact.core import _dfs_plan, _search, value_of
 
 from oracles import (
     brute_factorizations,
@@ -237,14 +237,30 @@ class TestFactorizations:
                 branches["parallel" if _dfs_plan(s.generators)[-1] is None else "cramer"] += 1
         assert branches["parallel"] >= 20 and branches["cramer"] >= 50, branches
 
+    def test_enumeration_starts_past_dead_lines(self):
+        # a Betti candidate of a semigroup of kernel dimension 7, whose
+        # enumerating search comes back to lines it has found to leave
+        # nothing; a memo that records one point too many, or records past
+        # a factorization, loses members of this fiber
+        s = affine_semigroup(
+            [(0, 0, 2), (0, 1, 1), (0, 1, 2), (0, 2, 0), (1, 0, 1),
+             (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0)]
+        )
+        gamma = (5, 2, 3)
+        plan = _dfs_plan(s.generators)
+        assert sorted(_search(plan, gamma)) == brute_factorizations(s.generators, gamma)
+        assert any(plan[4])  # the dead lines it recorded
+
 
 class TestBudget:
     # one step per node of the factorization search and one per factorization
     # its closed-form two-atom tail emits
     def test_limit_stops_factorizations(self):
+        # 66,667 factorizations: few enough that a search which stops
+        # counting them returns, and the test fails, instead of filling memory
         s = affine_semigroup([3, 5])
-        with step_limit(10), pytest.raises(ResourceLimitError):
-            factorizations(s, 10**12)
+        with cpu_limit(5), step_limit(10), pytest.raises(ResourceLimitError):
+            factorizations(s, 10**6)
 
     def test_limit_stops_contains(self):
         # two atoms are solved in one node, but with a third the search tries

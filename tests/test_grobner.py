@@ -159,6 +159,15 @@ class TestBuchberger:
         grown = reduce_basis(buchberger_extend(buchberger([g1], order), [g2]))
         assert whole.binomials == grown.binomials
 
+    def test_extension_leaves_the_basis_alone(self):
+        order = TermOrder.grlex(3)
+        g1 = binomial((1, 0, 1), (0, 2, 0), order)
+        g2 = binomial((3, 0, 0), (0, 1, 1), order)
+        basis = buchberger([g1], order)
+        grown = buchberger_extend(basis, [g2])
+        assert basis == _basis([g1], order) != grown
+        assert normal_form(g2, basis) == g2 and normal_form(g2, grown).is_zero
+
 
 class TestReduceBasis:
     def test_already_reduced(self):
