@@ -22,7 +22,6 @@ where fullness is required), 4 step budget exceeded.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import Sequence
@@ -160,7 +159,6 @@ def _add_common(parser: _Parser) -> None:
     )
 
 
-@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sgfact", description="factorization invariants of affine semigroups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,6 +192,9 @@ def _build_parser() -> _Parser:
     p = command("hilbert", help="Hilbert basis / minimal solutions of a system file")
     p.add_argument("--system", required=True, help="JSON {'matrix': .., 'relation': 'eq'|'geq', 'rhs': .., 'moduli': ..}")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _run_command(args) -> str:
@@ -301,9 +302,8 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
 
     Diagnostics go to stderr; on error the output text is empty, never partial.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
         with step_limit(args.max_steps):
             output = _run_command(args)
     except _UsageError as exc:

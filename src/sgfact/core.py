@@ -139,6 +139,17 @@ def affine_semigroup(generators: Iterable[int | Sequence[int]]) -> AffineSemigro
     return AffineSemigroup(dim, atoms)
 
 
+def homogenize(S: AffineSemigroup) -> AffineSemigroup:
+    """The semigroup generated by (1,0) and (1, atom) for every atom, one dimension up.
+
+    All generators share first coordinate 1, so they are the minimal generating
+    set, already sorted: the extra generator (1, 0...) comes first, and the
+    atoms of S keep their sorted order after it.  No search is needed.
+    """
+    gens = [(1,) + (0,) * S.dim] + [(1,) + atom for atom in S.generators]
+    return AffineSemigroup(S.dim + 1, tuple(gens))
+
+
 def _is_decomposable(target: Vector, gens: list[Vector], plan: tuple) -> bool:
     # target is a non-atom of <gens> iff it has a factorization of length >= 2,
     # i.e. target - g is a nonzero member for some generator g.  This test over

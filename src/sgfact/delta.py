@@ -1,10 +1,12 @@
 """Whole-semigroup delta sets, by two independent routes.
 
 Both routes read the delta set off the length-homogenized semigroup,
-generated by (1, 0) and (1, a) for every atom a; only the chain route builds
-it.  A kernel vector (x_0, v) of its matrix is a kernel vector v of the atom
-matrix with x_0 = |v-| - |v+|, so the extra coordinate records, negated, the
-length gap of the pair of factorizations that v joins.
+generated by (1, 0) and (1, a) for every atom a (``homogenize``).  Only the
+chain route builds it, through the Graver basis of ``homogenize(S)`` that
+:mod:`~sgfact.hilbert` caches for each semigroup and that ``graver_basis``
+reads too.  A kernel vector (x_0, v) of its matrix is a kernel vector v of
+the atom matrix with x_0 = |v-| - |v+|, so the extra coordinate records,
+negated, the length gap of the pair of factorizations that v joins.
 
 The chain route tracks the ascending ideals generated by the Graver binomials
 of the homogenized semigroup, bucketed by that gap: a gap j joins the delta
@@ -20,7 +22,7 @@ ch. 8 §4, Thm 4).
 
 from __future__ import annotations
 
-from .core import AffineSemigroup
+from .core import AffineSemigroup, homogenize  # homogenize: re-exported
 from .errors import ConstructionError
 from .grobner import (
     BinomialIdealBasis,
@@ -32,33 +34,25 @@ from .grobner import (
     reduce_basis,
     toric_ideal,
 )
-from .hilbert import graver_basis
-
-
-def homogenize(S: AffineSemigroup) -> AffineSemigroup:
-    """The semigroup generated by (1,0) and (1, atom) for every atom, one dimension up.
-
-    All generators share first coordinate 1, so they are the minimal generating
-    set, already sorted: the extra generator (1, 0...) comes first, and the
-    atoms of S keep their sorted order after it.  No search is needed.
-    """
-    gens = [(1,) + (0,) * S.dim] + [(1,) + atom for atom in S.generators]
-    return AffineSemigroup(S.dim + 1, tuple(gens))
+from .hilbert import _homogenized_graver
 
 
 def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:
-    """Graver pairs of the homogenized semigroup, projected to the atoms and bucketed by gap.
+    """Graver vectors of the homogenized semigroup, projected to the atoms and bucketed by gap.
 
-    Each Graver pair (z, w) of the homogenized semigroup gives the binomial of
-    z[1:] and w[1:] with gap |z_0 - w_0|.  The homogenizing coordinate must
-    take part in the minimality order: a kernel pair can be conformally
-    reducible in the plain kernel only through parts with a larger gap, and
-    such pairs are still needed as generators.
+    Each vector (x_0, v) of the cached Graver basis of ``homogenize(S)`` gives
+    the binomial of the positive and negative parts of v, with gap |x_0|.  The
+    homogenizing coordinate must take part in the minimality order: a kernel
+    pair can be conformally reducible in the plain kernel only through parts
+    with a larger gap, and such pairs are still needed as generators.  So
+    these are the cached vectors themselves, not the plain Graver basis.
     """
     order = TermOrder.grlex(len(S.generators))
     buckets: dict[int, list] = {}
-    for z, w in graver_basis(homogenize(S)):
-        buckets.setdefault(abs(z[0] - w[0]), []).append(binomial(z[1:], w[1:], order))
+    for x0, *v in _homogenized_graver(S):
+        plus = tuple(c if c > 0 else 0 for c in v)
+        minus = tuple(-c if c < 0 else 0 for c in v)
+        buckets.setdefault(abs(x0), []).append(binomial(plus, minus, order))
     return buckets
 
 

@@ -63,7 +63,9 @@ def step_limit(n: int | None):
     after ``n`` steps of its own (``None``: no limit), like ``decimal.localcontext``.
 
     Every counting loop keeps its count in one :class:`_Budget`, the only
-    reader of the limit."""
+    reader of the limit.  An answer served from one of the package's caches
+    (the homogenized Graver basis of a semigroup, its minimal presentation)
+    runs no loop and so spends no steps; an aborted run caches nothing."""
     if n is not None and n < 0:
         raise ConstructionError(f"step limit must be nonnegative, got {n}")
     token = _step_limit.set(n)

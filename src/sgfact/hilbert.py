@@ -12,10 +12,14 @@ Two search engines back the public operations:
 
 Both engines work on small dense int64 arrays and keep every intermediate
 value exact; magnitudes are guarded so that silent wraparound is impossible.
+
+A semigroup runs one, cached, Graver completion: that of ``homogenize(S)``.
+:func:`graver_basis` projects it, and :mod:`~sgfact.delta` buckets it by gap.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AffineSemigroup, Vector, as_matrix, as_vector
+from .core import AffineSemigroup, Vector, as_matrix, as_vector, homogenize
 from .errors import ConstructionError, _Budget
 
 _INT_GUARD = 1 << 41
@@ -286,12 +290,17 @@ def primitive_kernel_vectors(matrix: Sequence[Sequence[int]]) -> tuple[Vector, .
             store = _KernelStore(width)
             _lift(vectors, store, budget)
             vectors = store.tuples
-    primitive = [
+    return tuple(sorted(_primitive(store)))
+
+
+def _primitive(store: _KernelStore) -> list[Vector]:
+    """The stored vectors, whole in ``store.width``, with no multiple of another conformally under them."""
+    vectors = store.tuples
+    return [
         v
         for idx, v in enumerate(vectors)
         if not any(_multiple(vectors[c], v) for c in store.fitting(v) if c != idx)
     ]
-    return tuple(sorted(primitive))
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +456,28 @@ def minimal_solutions(sys: DiophantineSystem) -> tuple[Vector, ...]:
     return tuple(_minimal_nonneg_solutions(mat, b, True))
 
 
+@functools.lru_cache(maxsize=16)
+def _homogenized_graver(S: AffineSemigroup) -> tuple[Vector, ...]:
+    """The Graver basis of ``homogenize(S)``: vectors (x_0, v) with x_0 = -|v|."""
+    return primitive_kernel_vectors(homogenize(S).matrix)
+
+
 def graver_basis(S: AffineSemigroup) -> tuple[tuple[Vector, Vector], ...]:
     """All primitive pairs (z, w) of distinct factorization vectors with equal value.
 
     Pairs have disjoint supports, carry one orientation each (lexicographically
     larger side first), and together they are the disjoint-support part of the
     Hilbert basis of the doubled system (A | -A).
+
+    Each primitive v lifts to the primitive (-|v|, v) of ``homogenize(S)``, so
+    the plain basis is the conformally minimal part of the cached homogenized
+    one with x_0 dropped; a cached completion spends no steps.
     """
+    store = _KernelStore(len(S.generators))
+    for v in _homogenized_graver(S):
+        store.add(v[1:])
     pairs = []
-    for v in primitive_kernel_vectors(S.matrix):
+    for v in _primitive(store):
         plus = tuple(c if c > 0 else 0 for c in v)
         minus = tuple(-c if c < 0 else 0 for c in v)
         pairs.append((plus, minus) if plus > minus else (minus, plus))

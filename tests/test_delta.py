@@ -23,6 +23,7 @@ from sgfact.grobner import (
     toric_ideal,
 )
 from sgfact.hilbert import primitive_kernel_vectors
+from sgfact.presentation import betti_elements
 
 from oracles import (
     cpu_limit,
@@ -240,6 +241,18 @@ class TestLexDeltaBasis:
 
 
 class TestMethodAgreement:
+    def test_largest_gap_is_reached_at_a_betti_element(self):
+        # the maximum of the delta set is the largest delta of a Betti element
+        # (Chapman, Garcia-Sanchez, Llena, Malyshev and Steinberg, "On the delta
+        # set and the Betti elements of a BF-monoid", Arab. J. Math. 2012), so
+        # both routes must agree with the fibers at the Betti elements
+        rng = random.Random(11)
+        instances = [random_numerical_semigroup(rng, k_max=4, atom_max=40) for _ in range(20)]
+        instances += [random_affine_semigroup(rng, k_max=5, entry_max=6) for _ in range(20)]
+        for s in instances:
+            betti = max((max(delta_of_element(s, b), default=0) for b in betti_elements(s)), default=0)
+            assert max(delta_set_grobner(s), default=0) == max(delta_set_hilbert(s), default=0) == betti, s
+
     def test_random_numerical(self):
         rng = random.Random(20250810)
         for _ in range(12):

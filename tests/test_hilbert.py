@@ -17,6 +17,7 @@ from sgfact import (
     step_limit,
 )
 from sgfact.delta import homogenize
+from sgfact.hilbert import _homogenized_graver
 
 from oracles import (
     brute_solutions,
@@ -195,6 +196,46 @@ class TestGraverBasis:
             )
             assert all(a == 0 or b == 0 for a, b in zip(z, w))
             assert z > w
+
+
+def _plain_pairs(S):
+    """The Graver pairs of S built from a completion of the plain atom matrix."""
+    pairs = []
+    for v in primitive_kernel_vectors(S.matrix):
+        plus = tuple(max(c, 0) for c in v)
+        minus = tuple(max(-c, 0) for c in v)
+        pairs.append((plus, minus) if plus > minus else (minus, plus))
+    return tuple(sorted(pairs))
+
+
+class TestGraverCache:
+    """graver_basis reads the cached homogenized completion, not a plain one."""
+
+    def test_matches_plain_completion(self):
+        rng = random.Random(1919)
+        instances = [random_numerical_semigroup(rng, k_max=4, atom_max=40) for _ in range(25)]
+        instances += [random_affine_semigroup(rng, k_max=5, entry_max=6) for _ in range(25)]
+        for s in instances:
+            assert graver_basis(s) == _plain_pairs(s), s
+
+    def test_warm_call_spends_no_steps(self):
+        s = affine_semigroup([17, 33, 53, 71])
+        pairs = graver_basis(s)
+        with step_limit(0):
+            assert graver_basis(s) == pairs
+
+    def test_aborted_completion_caches_nothing(self):
+        s = affine_semigroup([17, 33, 53, 71])
+        with pytest.raises(ResourceLimitError), step_limit(5):
+            graver_basis(s)
+        assert _homogenized_graver.cache_info().currsize == 0
+        with step_limit(10**6):
+            assert len(graver_basis(s)) == 182
+
+    def test_cache_is_bounded(self):
+        for a in range(2, 22):  # 20 distinct semigroups <a, a+1>
+            graver_basis(affine_semigroup([a, a + 1]))
+        assert _homogenized_graver.cache_info().currsize <= 16
 
 
 def _check_system(matrix, moduli=None):

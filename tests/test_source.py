@@ -41,3 +41,25 @@ def test_one_budget():
         or isinstance(node, ast.Call) and _name(node.func) == "ResourceLimitError"
     ]
     assert not found, found
+
+
+def test_caches_are_bounded():
+    # a cache keeps a fixed number of answers: every one is an lru_cache
+    # called with a literal integer maxsize, and these two are all there is
+    cached, found = [], []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if _name(node) == "cache":  # functools.cache never evicts
+                found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+                size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if not (len(size) == 1 and isinstance(size[0], ast.Constant) and type(size[0].value) is int):
+                    found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.FunctionDef):
+                for deco in node.decorator_list:
+                    if _name(deco) == "lru_cache":  # bare: the default maxsize
+                        found.append(f"{name}:{deco.lineno}")
+                    elif isinstance(deco, ast.Call) and _name(deco.func) == "lru_cache":
+                        cached.append(f"{name}:{node.name}")
+    assert not found, found
+    assert sorted(cached) == ["hilbert.py:_homogenized_graver", "presentation.py:minimal_presentation"]
