@@ -39,7 +39,10 @@ def as_vector(value: int | Sequence[int], dim: int | None = None) -> Vector:
     magnitude is 2**62 or more, raises :class:`ConstructionError`.
     """
     try:
-        vec: Vector = (value,) if isinstance(value, int) else tuple(map(operator.index, value))
+        try:
+            vec: Vector = (operator.index(value),)
+        except TypeError:
+            vec = tuple(map(operator.index, value))
     except TypeError:
         raise ConstructionError(f"expected integer coordinates, got {value!r}") from None
     if dim is not None and len(vec) != dim:

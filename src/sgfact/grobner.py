@@ -5,16 +5,18 @@ and -1, so a polynomial is just an ordered pair of exponent vectors and the
 whole Buchberger loop closes over that representation: S-pairs and remainders
 of binomials are again binomials (or zero).
 
-Buchberger installs each new basis member by the update of Gebauer and
-Moeller ("On an installation of Buchberger's algorithm", JSC 6, 1988): the
-chain criterion drops pending pairs, and criteria M and F and the coprime
-criterion drop the new member's own pairs.  Division looks up the first
-divisor in basis order on a numpy matrix of leading exponents that grows
-with the basis.  The matrix holds exponents clipped at 2^62 and only
-preselects; every hit is confirmed on the exact tuples.  A
-:class:`BinomialIdealBasis` is its members with that matrix, and one loop,
-its ``reduce``, fully reduces a term: the trailing side of a normal form and
-each trailing term of a reduced basis.
+Buchberger queues each new member's pairs past criteria M and F and the
+coprime criterion of Gebauer and Moeller ("On an installation of
+Buchberger's algorithm", JSC 6, 1988).  Their chain criterion is left out on
+purpose: it needs a ledger of every queued pair, and the other criteria
+catch nearly all it drops (the largest run on a kernel-dimension-7 toric
+ideal pops 315 pairs instead of 256 at the same speed, and 1,845 without M
+and F).  Division looks up the first divisor in basis order on a numpy
+matrix of leading exponents that grows with the basis.  The matrix holds
+exponents clipped at 2^62 and only preselects; every hit is confirmed on the
+exact tuples.  A :class:`BinomialIdealBasis` is its members with that
+matrix, and one loop, its ``reduce``, fully reduces a term: the trailing
+side of a normal form and each trailing term of a reduced basis.
 
 Binomials are NOT normalized by cancelling a common monomial factor.  That
 cancellation is only sound for saturated (toric) ideals; the ascending-chain
@@ -229,10 +231,11 @@ def spair(f: Binomial, g: Binomial, order: TermOrder) -> Binomial:
 def buchberger(gens: Iterable[Binomial], order: TermOrder) -> BinomialIdealBasis:
     """A Groebner basis of the ideal generated by pure-difference binomials.
 
-    Normal selection strategy (smallest lcm first, FIFO ties), with the
-    Gebauer-Moeller update of the module docstring.  Under
-    :func:`~sgfact.errors.step_limit` every pair taken off the queue is one
-    step, which counts only pairs that survive the criteria.
+    Normal selection strategy (smallest lcm first, FIFO ties), under
+    criteria M and F and the coprime criterion, without the chain criterion
+    (see the module docstring).  Under :func:`~sgfact.errors.step_limit`
+    every pair taken off the queue is one step, which counts only pairs
+    that survive the criteria.
     """
     return _buchberger_extend([], gens, order)
 
@@ -254,24 +257,13 @@ def _buchberger_extend(
     G = BinomialIdealBasis(prefix, order)
     basis = G.members
     counter = itertools.count()
-    queue: list[tuple[tuple, int]] = []
-    lcms = _Rows(order.nvars)  # row c: the lcm of the c-th pair queued
-    pending: dict[int, tuple[int, int, Vector]] = {}  # queued pairs not yet dropped
+    queue: list[tuple[tuple, int, int, int]] = []
 
     def install(k: int) -> None:
-        """The Gebauer-Moeller update for the new member k."""
-        h = basis[k].plus
-        # chain criterion: a pending pair whose lcm the new leading term divides
-        # is redundant unless its lcm equals that of one of its ends with k
-        for c in np.flatnonzero((lcms.rows >= _clipped(h)).all(axis=1)):
-            pair = pending.get(c)
-            if pair is None:
-                continue
-            i, j, lcm = pair
-            if _divides(h, lcm) and _lcm(basis[i].plus, h) != lcm and _lcm(basis[j].plus, h) != lcm:
-                del pending[c]
+        """Queue the pairs of the new member k that criteria M and F and the coprime test keep."""
         if not k:
             return
+        h = basis[k].plus
         leads = G.leads.rows[:k]
         row = G.leads.rows[k]
         ends = np.maximum(leads, row)
@@ -294,10 +286,7 @@ def _buchberger_extend(
             for a, i in enumerate(block.tolist()):
                 lcm = _lcm(basis[i].plus, h)
                 if not any(_divides(basis[j].plus, lcm) for j in np.flatnonzero(witness[a])):
-                    c = next(counter)
-                    lcms.append(lcm)
-                    pending[c] = (i, k, lcm)
-                    heapq.heappush(queue, (order.key(lcm), c))
+                    heapq.heappush(queue, (order.key(lcm), next(counter), i, k))
 
     for b in gens:
         if not b.is_zero:
@@ -305,12 +294,8 @@ def _buchberger_extend(
             install(len(basis) - 1)
 
     while queue:
-        _, c = heapq.heappop(queue)
-        pair = pending.pop(c, None)
-        if pair is None:
-            continue
+        _, _, i, j = heapq.heappop(queue)
         budget.spend()
-        i, j, _ = pair
         s = spair(basis[i], basis[j], order)
         if s.is_zero:
             continue

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,18 @@ class TestConstruction:
     def test_rejects_bad_input(self, gens):
         with pytest.raises(ConstructionError):
             affine_semigroup(gens)
+
+    def test_numpy_integers(self):
+        # numpy scalars and arrays read as the plain ints they hold
+        plain = affine_semigroup([3, 5, 7])
+        assert affine_semigroup(np.array([3, 5, 7])) == plain
+        assert affine_semigroup([np.int64(3), np.int64(5), np.int64(7)]) == plain
+        assert factorizations(plain, np.int64(15)) == factorizations(plain, 15)
+        planar = affine_semigroup([(1, 0), (1, 1), (0, 2)])
+        assert affine_semigroup(np.array([(1, 0), (1, 1), (0, 2)])) == planar
+        assert factorizations(planar, np.array([2, 2])) == factorizations(planar, (2, 2))
+        with pytest.raises(ConstructionError):
+            affine_semigroup(np.array([2.5]))
 
     def test_takes_no_equations(self):
         # only tame.full_semigroup records fullness, from the system it solved;

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sgfact import ConstructionError, affine_semigroup, graver_basis
+from sgfact import ConstructionError, affine_semigroup, graver_basis, step_limit
 from sgfact.delta import _gap_buckets
 from sgfact.grobner import (
     ZERO,
@@ -21,6 +21,11 @@ from sgfact.grobner import (
 from oracles import random_affine_semigroup, reference_groebner
 
 LEX3 = TermOrder.lex(3)
+# kernel dimension 7, the semigroup of the wide-presentation benchmark
+WIDE = [
+    (0, 0, 2), (0, 1, 1), (0, 1, 2), (0, 2, 0), (1, 0, 1),
+    (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0),
+]
 
 
 def _basis(binomials, order=LEX3):
@@ -298,6 +303,12 @@ class TestPairCriteria:
             gens += buckets[j]
             expected = reference_groebner(gens, order)
             assert reduce_basis(buchberger(gens, order)).binomials == expected, j
+
+    def test_criteria_m_and_f_prune(self):
+        # without the chain criterion the largest Buchberger run of this toric
+        # ideal pops 315 pairs; without criteria M and F as well it pops 1,845
+        with step_limit(400):
+            toric_ideal(affine_semigroup(WIDE))
 
 
 class TestBeyondInt64:
