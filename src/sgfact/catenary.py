@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _INT_LIMIT, AffineSemigroup, Vector, as_vector, dist, factorizations, vsub
+from .core import _INT_LIMIT, AffineSemigroup, Vector, _descent_set, as_vector, dist, factorizations, vsub
 from .errors import ConstructionError, NotInSemigroupError, UnsupportedDimensionError, _Budget
 
 Edge = tuple[int, Vector, Vector]  # (weight, smaller endpoint, larger endpoint)
@@ -174,29 +174,6 @@ def _settle(S: AffineSemigroup, memo: Memo, element: Vector) -> Packed | None:
     tree = _build_tree(len(S.generators), children) if children or not any(element) else None
     memo[element] = tree
     return tree
-
-
-def _descent_set(S: AffineSemigroup, gamma: Vector, memo: Memo) -> list[Vector]:
-    """gamma and every nonnegative gamma - (sum of atoms) not yet in the memo.
-
-    Ordered by ascending coordinate sum, so each comes after all elements one
-    atom below it.  A settled element is not descended into: everything below
-    it was settled first.  Under :func:`~sgfact.errors.step_limit` every
-    element found is one step, since each is settled next.
-    """
-    spend = _Budget().spend
-    spend()
-    seen = {gamma}
-    queue = [gamma]
-    while queue:
-        current = queue.pop()
-        for atom in S.generators:
-            child = vsub(current, atom)
-            if min(child) >= 0 and child not in seen and child not in memo:
-                spend()
-                seen.add(child)
-                queue.append(child)
-    return sorted(seen, key=lambda v: (sum(v), v))
 
 
 def _packed_tree(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None) -> Packed:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Sequence
 
 from .errors import ConstructionError, DimensionMismatchError, _Budget
 
@@ -151,6 +151,29 @@ def homogenize(S: AffineSemigroup) -> AffineSemigroup:
     """
     gens = [(1,) + (0,) * S.dim] + [(1,) + atom for atom in S.generators]
     return AffineSemigroup(S.dim + 1, tuple(gens))
+
+
+def _descent_set(S: AffineSemigroup, gamma: Vector, memo: Container[Vector]) -> list[Vector]:
+    """gamma and every nonnegative gamma - (sum of atoms) not yet in the memo.
+
+    Ordered by ascending coordinate sum, so each comes after all elements one
+    atom below it.  A settled element is not descended into: everything below
+    it was settled first.  Under :func:`~sgfact.errors.step_limit` every
+    element found is one step, since each is settled next.
+    """
+    spend = _Budget().spend
+    spend()
+    seen = {gamma}
+    queue = [gamma]
+    while queue:
+        current = queue.pop()
+        for atom in S.generators:
+            child = vsub(current, atom)
+            if min(child) >= 0 and child not in seen and child not in memo:
+                spend()
+                seen.add(child)
+                queue.append(child)
+    return sorted(seen, key=lambda v: (sum(v), v))
 
 
 def _is_decomposable(target: Vector, gens: list[Vector], plan: tuple) -> bool:

@@ -8,7 +8,9 @@ Two search engines back the public operations:
   prefix only the pairs whose sum can be new there;
 * a breadth-first frontier search for minimal nonnegative solutions of
   equality/inequality systems, growing candidate vectors one unit at a time
-  and only in directions that shrink the current constraint violation.
+  and only in directions that shrink the current constraint violation; the
+  rows of a level share one total, so a new row is tested for domination
+  only against the bucket of minimal solutions that can lie under it.
 
 Both engines work on small dense int64 arrays and keep every intermediate
 value exact; magnitudes are guarded so that silent wraparound is impossible.
@@ -324,10 +326,18 @@ def _minimal_nonneg_solutions(
 ) -> list[Vector]:
     """Minimal x >= 0 with A x = b, or A x >= b when ``geq``.
 
-    Frontier vectors grow one coordinate at a time, only along columns whose
+    Frontier vectors grow one unit at a time, only along columns whose
     inner product with the current violation is negative; that rule reaches
     every minimal solution while pruning most of N^n.  Solutions are never
     extended, and anything above a known solution is dropped.
+
+    All rows of a level have the same total, so a kept row r that is no
+    solution lies above no known minimal m (one of its own total would equal
+    it), and its child r + e_j lies above m only if m_j = r_j + 1: each child
+    is tested only against the minimal solutions in that bucket (j, m_j).
+    Each level is deduplicated by one lexsort and a neighbour comparison.
+    Under :func:`~sgfact.errors.step_limit` every child row generated is one
+    step, counted before deduplication and the domination test.
 
     Termination holds for homogeneous equality systems and for inequality
     systems with a nonnegative matrix; other callers must homogenize first
@@ -337,41 +347,37 @@ def _minimal_nonneg_solutions(
     """
     budget = _Budget()
     ncols = a.shape[1]
-    if b.any():
-        frontier = np.zeros((1, ncols), dtype=np.int64)
-    else:
-        frontier = np.eye(ncols, dtype=np.int64)
-    minimal = np.zeros((0, ncols), dtype=np.int64)
+    frontier = np.zeros((1, ncols), np.int64) if b.any() else np.eye(ncols, dtype=np.int64)
+    buckets: dict[tuple[int, int], np.ndarray] = {}
     found: list[Vector] = []
     while len(frontier):
-        frontier = np.unique(frontier, axis=0)
-        if len(minimal):
-            frontier = frontier[~_dominated(frontier, minimal)]
-            if not len(frontier):
-                break
+        frontier = frontier[np.lexsort(frontier.T)]
+        frontier = frontier[np.r_[True, (frontier[1:] != frontier[:-1]).any(axis=1)]]
         violation = _guard(frontier @ a.T - b)
         if geq:
             violation = np.minimum(violation, 0)
         solution = (violation == 0).all(axis=1)
-        if solution.any():
-            sols = frontier[solution]
-            minimal = np.vstack([minimal, sols])
-            found.extend(tuple(int(c) for c in row) for row in sols)
+        sols = frontier[solution]
+        rows = sols.tolist()
+        found.extend(map(tuple, rows))
+        for j, v in {(j, v) for row in rows for j, v in enumerate(row) if v}:
+            buckets[j, v] = np.vstack([buckets.get((j, v), sols[:0]), sols[sols[:, j] == v]])
         rest = frontier[~solution]
-        if not len(rest):
-            break
         scores = violation[~solution] @ a
         children = []
         for j in range(ncols):
             mask = scores[:, j] < 0
             if caps is not None:
                 mask &= rest[:, j] < caps[j]
-            if mask.any():
-                block = rest[mask].copy()
-                block[:, j] += 1
-                children.append(block)
-        frontier = np.vstack(children) if children else np.zeros((0, ncols), np.int64)
-        budget.spend(len(frontier))
+            block = rest[mask]
+            block[:, j] += 1
+            budget.spend(len(block))
+            for v in np.unique(block[:, j]).tolist():
+                if (j, v) in buckets:
+                    at = np.flatnonzero(block[:, j] == v)
+                    block = np.delete(block, at[_dominated(block[at], buckets[j, v])], axis=0)
+            children.append(block)
+        frontier = np.vstack(children)
     return sorted(found)
 
 
@@ -379,53 +385,39 @@ def _np_matrix(rows: Sequence[Vector]) -> np.ndarray:
     return _guard(np.array(rows, dtype=np.int64))
 
 
-def _extend_congruences(sys: DiophantineSystem) -> tuple[list[list[int]], int]:
-    """Rewrite congruence rows with auxiliary multiplier columns; return rows and aux count."""
-    rows = [list(r) for r in sys.matrix]
-    naux = 0
-    if sys.moduli:
-        for i, m in enumerate(sys.moduli):
-            if m == 0:
-                continue
-            cols = [-m]
-            if any(c < 0 for c in sys.matrix[i]):
-                cols.append(m)
-            for value in cols:
-                for i2, row in enumerate(rows):
-                    row.append(value if i2 == i else 0)
-                naux += 1
-    return rows, naux
+def _extend_congruences(sys: DiophantineSystem) -> list[list[int]]:
+    """The rows as equations: each congruence row reduced mod its m, with its own -m column.
 
-
-def _minimalize(vectors: Iterable[Vector]) -> list[Vector]:
-    vecs = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept: list[Vector] = []
-    for v in vecs:
-        if not any(all(a <= b for a, b in zip(m, v)) for m in kept):
-            kept.append(v)
-    return sorted(kept)
+    A reduced row is nonnegative, so its multiplier y = B'x/m is fixed by x
+    and grows with x: the solutions project one-to-one, and in order, onto
+    those of the congruences.
+    """
+    moduli = sys.moduli or (0,) * len(sys.matrix)
+    rows = [[c % m for c in r] if m else list(r) for r, m in zip(sys.matrix, moduli)]
+    for i, m in enumerate(moduli):
+        if m:
+            for i2, row in enumerate(rows):
+                row.append(-m if i2 == i else 0)
+    return rows
 
 
 def hilbert_basis(sys: DiophantineSystem) -> tuple[Vector, ...]:
     """The minimal generating set of {x in N^n : rows hold}, for homogeneous systems.
 
-    Congruence rows are rewritten with auxiliary multiplier columns which are
-    projected away afterwards (re-minimalizing, since projection can break
-    minimality).  Homogeneous GEQ systems are rejected: their solution sets
-    are cones whose generators need not be componentwise-minimal, which is a
-    different computation.  Under :func:`~sgfact.errors.step_limit` every
+    Each congruence row gets one multiplier column, projected away
+    afterwards; the projection keeps minimality (see ``_extend_congruences``).
+    Homogeneous GEQ systems are rejected: their solution sets are cones whose
+    generators need not be componentwise-minimal, which is a different
+    computation.  Under :func:`~sgfact.errors.step_limit` every
     frontier row the search generates is one step.
     """
     if not sys.homogeneous:
         raise ConstructionError("hilbert_basis requires a homogeneous system")
     if sys.relation is Relation.GEQ:
         raise ConstructionError("hilbert_basis supports equality/congruence rows only")
-    rows, naux = _extend_congruences(sys)
+    rows = _extend_congruences(sys)
     solutions = _minimal_nonneg_solutions(_np_matrix(rows), np.zeros(len(rows), np.int64), False)
-    if not naux:
-        return tuple(solutions)
-    projected = [v[: sys.ncols] for v in solutions if any(v[: sys.ncols])]
-    return tuple(_minimalize(projected))
+    return tuple(v[: sys.ncols] for v in solutions)
 
 
 def minimal_solutions(sys: DiophantineSystem) -> tuple[Vector, ...]:

@@ -7,7 +7,11 @@ one atom then reduces to finitely many small computations: the minimal
 solutions of A x >= atom that avoid the atom, and for each, the shortest
 factorization of its value v that uses the atom.  That is one more than the
 shortest factorization of v - atom, since w -> w - e_i maps the factorizations
-of v through atom i one-to-one onto those of v - atom, a much smaller fiber.
+of v through atom i one-to-one onto those of v - atom.  No fiber is enumerated
+for it: shortest lengths are settled bottom-up over the elements below v - atom,
+the min-length form of the dynamic algorithms of Barron, O'Neill and Pelayo
+("On dynamic algorithms for factorization invariants in numerical monoids",
+Math. Comp. 2017).
 
 The tame functions take a plain :class:`AffineSemigroup`, whose ``equations``
 field is the one record that it is full; without it they raise ``NotFullError``.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import AffineSemigroup, Vector, affine_semigroup, as_vector, factorizations, value_of, vsub
+from .core import AffineSemigroup, Vector, _descent_set, affine_semigroup, as_vector, value_of, vsub
 from .errors import ConstructionError, NotFullError, NotInSemigroupError
 from .hilbert import DiophantineSystem, Relation, diophantine_system, hilbert_basis, minimal_solutions
 
@@ -89,23 +93,34 @@ def minimals_principal_ideal(S: AffineSemigroup, gamma) -> tuple[Vector, ...]:
     return minimal_solutions(diophantine_system(S.matrix, Relation.GEQ, rhs=g))
 
 
+def _shortest(S: AffineSemigroup, gamma: Vector, shortest: dict[Vector, int]) -> int:
+    """The shortest factorization length l of a member gamma, settling first
+    every element below it not in ``shortest``.
+
+    l(u) = 1 + min l(u - a_j) over the atoms a_j with u - a_j in S; u - a_j
+    satisfies the defining congruences whenever u does, so it is a member
+    exactly when it is nonnegative.  Elements are settled bottom-up over the
+    descent set of gamma, one step each.
+    """
+    if gamma not in shortest:
+        for u in _descent_set(S, gamma, shortest):
+            below = [shortest[c] for a in S.generators if min(c := vsub(u, a)) >= 0]
+            if any(u) and not below:
+                raise NotFullError(f"the equations admit {u}, but no atom lies below it")
+            shortest[u] = 1 + min(below) if below else 0
+    return shortest[gamma]
+
+
 def _tame_i(S: AffineSemigroup, i: int, shortest: dict[Vector, int]) -> int:
-    """Tame degree with respect to atom ``i``; ``shortest`` maps each v - atom
-    already seen to the length of its shortest factorization."""
+    """Tame degree with respect to atom ``i``; ``shortest`` maps each element
+    already settled to the length of its shortest factorization."""
     atom = S.generators[i]
     best = 0
     for z in minimals_principal_ideal(S, atom):
-        if z[i]:
-            continue
-        rest = vsub(value_of(S, z), atom)
-        if rest not in shortest:
-            fiber = factorizations(S, rest)
-            if not fiber:
-                raise AssertionError("fullness guarantees a factorization through the atom")
-            shortest[rest] = min(map(sum, fiber))
-        # minimality of z forces its support to be disjoint from every
-        # factorization w through the atom, so dist(z, w) is max(|z|, |w|)
-        best = max(best, sum(z), 1 + shortest[rest])
+        if not z[i]:
+            # minimality of z forces its support to be disjoint from every
+            # factorization w through the atom, so dist(z, w) is max(|z|, |w|)
+            best = max(best, sum(z), 1 + _shortest(S, vsub(value_of(S, z), atom), shortest))
     return best
 
 
@@ -118,7 +133,9 @@ def tame_i_full(S: AffineSemigroup, atom_index: int) -> int:
     already factors through the atom.  That shortest length is one more than
     the shortest factorization of v - atom, because w -> w - e_i is a
     bijection from the factorizations of v through the atom onto those of
-    v - atom.
+    v - atom; that one is settled by descent, l(u) = 1 + min l(u - a_j) over
+    the atoms below u.  Under :func:`~sgfact.errors.step_limit` the frontier
+    search and each descent count their own steps.
     """
     if not 0 <= atom_index < len(S.generators):
         raise ConstructionError(f"atom index {atom_index} out of range")

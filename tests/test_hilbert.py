@@ -1,7 +1,10 @@
 import random
 from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgfact import (
     ConstructionError,
@@ -320,3 +323,50 @@ class TestAgainstCompletion:
         s = affine_semigroup([17, 33, 53, 71])
         matrix = (homogenize(s) if lift else s).matrix
         assert primitive_kernel_vectors(matrix) == reference_graver(matrix)
+
+
+def _systems(n, low, high):
+    """One or two rows of n entries in [low, high]."""
+    row = st.tuples(*[st.integers(low, high)] * n)
+    return st.lists(row, min_size=1, max_size=2)
+
+
+class TestFrontierAgainstBoxes:
+    """Each route into the frontier search against box enumeration.
+
+    Inside a box that holds every vector the engine returns, the minimal
+    solutions in the box are exactly the minimal solutions that fit in it.
+    """
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_eq_minimal_solutions(self, data):
+        # homogenized with the capped column pinned at 1; infeasible gives ()
+        n = data.draw(st.integers(1, 3))
+        matrix = data.draw(_systems(n, -4, 4))
+        rhs = data.draw(st.lists(st.integers(1, 6), min_size=len(matrix), max_size=len(matrix)))
+        sols = minimal_solutions(diophantine_system(matrix, rhs=rhs))
+        bound = max([6] + [max(v) for v in sols])
+        assert list(sols) == minimal_elements(brute_solutions(matrix, bound, rhs=rhs))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_geq_minimal_solutions(self, data):
+        # a nonnegative matrix: no coordinate of a minimal solution exceeds max(rhs)
+        n = data.draw(st.integers(1, 4))
+        matrix = data.draw(_systems(n, 0, 4))
+        rhs = data.draw(st.lists(st.integers(1, 7), min_size=len(matrix), max_size=len(matrix)))
+        sols = minimal_solutions(diophantine_system(matrix, Relation.GEQ, rhs=rhs))
+        expected = minimal_elements(brute_solutions(matrix, max(rhs), rhs=rhs, geq=True))
+        assert list(sols) == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_congruence_hilbert_basis(self, data):
+        # lcm(moduli) e_i solves every row, so no minimal coordinate exceeds it
+        n = data.draw(st.integers(1, 3))
+        matrix = data.draw(_systems(n, -5, 5))
+        moduli = data.draw(st.lists(st.integers(2, 5), min_size=len(matrix), max_size=len(matrix)))
+        basis = hilbert_basis(diophantine_system(matrix, moduli=moduli))
+        expected = minimal_elements(brute_solutions(matrix, lcm(*moduli), moduli=moduli))
+        assert list(basis) == expected

@@ -1,8 +1,19 @@
+import json
 from itertools import combinations_with_replacement
 
 import pytest
 
-from sgfact import NotFullError, Relation, ResourceLimitError, affine_semigroup, hilbert_basis, step_limit
+from sgfact import (
+    AffineSemigroup,
+    NotFullError,
+    Relation,
+    ResourceLimitError,
+    affine_semigroup,
+    diophantine_system,
+    hilbert_basis,
+    step_limit,
+)
+from sgfact import cli
 from sgfact.core import dist, factorizations, value_of
 from sgfact.tame import block_monoid, full_semigroup, minimals_principal_ideal, tame_full, tame_i_full
 
@@ -108,19 +119,27 @@ def test_minimal_candidates_have_disjoint_supports(build, args):
     ],
 )
 def test_tame_i_matches_full_fiber_reference(build, args):
-    # tame_i_full reads the shortest factorization through the atom off the
-    # fiber of value - atom; the reference enumerates the fiber of the value
+    # tame_i_full settles the shortest length of value - atom by descent,
+    # l(u) = 1 + min l(u - a_j); the reference enumerates the fiber of the value
     S = build(*args)
     for i in range(len(S.generators)):
         assert tame_i_full(S, i) == reference_tame_i(S, i), i
 
 
 def test_benchmark_groups_within_cpu_budget():
-    # the full-tame benchmark's groups: the fibers of value - atom take about a
-    # third of this budget, one full fiber per candidate's value more than all of it
+    # the full-tame benchmark's groups: the frontier search and the descent
+    # take about 0.2 s of this budget, one full fiber per candidate's value
+    # more than all of it
     with cpu_limit(1.5):
         assert tame_full(block_monoid((6,))) == 8
         assert tame_full(block_monoid((2, 2, 2))) == 4
+
+
+def test_c2_x_c4_within_cpu_budget():
+    # 8 is what the route through the fibers of value - atom gave (about 34 s);
+    # the frontier search and the descent take 6-7 s
+    with cpu_limit(14):
+        assert tame_full(block_monoid((2, 4))) == 8
 
 
 def test_step_limit_stops_tame_full():
@@ -129,3 +148,35 @@ def test_step_limit_stops_tame_full():
         tame_full(S)
     with step_limit(10**6):
         assert tame_full(S) == 6
+
+
+# x = y (mod 10): atoms (0,10), (1,1), (10,0).  The one candidate avoiding
+# (1,1) is (0,10) + (10,0), and the descent from (9,9) settles ten elements,
+# more than the 7 frontier rows that find the candidates
+CHAIN = ([[1, -1]], [10])
+
+
+def test_step_limit_stops_the_descent_alone(monkeypatch, tmp_path):
+    S = full_semigroup(*CHAIN)
+    with step_limit(7):
+        assert minimals_principal_ideal(S, (1, 1)) == ((0, 1, 0), (1, 0, 1))
+        with pytest.raises(ResourceLimitError):
+            tame_i_full(S, 1)
+    with step_limit(10):
+        assert tame_i_full(S, 1) == 10
+    # building the semigroup spends more steps than the descent, so the CLI
+    # gets it ready-made and only the tame degree runs under --max-steps
+    monkeypatch.setattr(cli._tame, "full_semigroup", lambda matrix, moduli: S)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"matrix": CHAIN[0], "moduli": CHAIN[1]}))
+    argv = ["tame", "--equations", str(path), "--atom-index", "1", "--max-steps"]
+    assert cli.run(argv + ["7"]) == (4, "")
+    assert cli.run(argv + ["10"]) == (0, "10\n")
+
+
+def test_equations_wider_than_the_atoms_are_named():
+    # <2,3> recorded as all of N: 1 satisfies the equations, but no atom lies
+    # below it, so the descent from 3 - 2 has nothing to settle it with
+    S = AffineSemigroup(1, ((2,), (3,)), diophantine_system([(1,)], moduli=[1]))
+    with pytest.raises(NotFullError, match="no atom lies below"):
+        tame_full(S)
