@@ -10,9 +10,10 @@ sorted.
 counting loop it starts (each factorization search, one step per node and
 one per factorization its closed-form two-atom tail emits, the semigroup's
 construction included; the Graver queue pops, summed over every lift stage;
-the Hilbert frontier search; each Buchberger run; the catenary trees built
-one element at a time; the naive catenary degree, one step per pair of
-factorizations) aborts after N steps of its own.
+the Hilbert frontier search; the group elements a block monoid lists; each
+Buchberger run; the catenary trees built one element at a time; the naive
+catenary degree, one step per pair of factorizations) aborts after N steps
+of its own.
 
 Exit codes: 0 success, 2 parse/validation error (a negative ``--max-steps``
 included), 3 semantic error (element outside the semigroup, non-full input
@@ -92,13 +93,15 @@ def _parse_generators(text: str) -> list[Vector]:
         raise _UsageError(f"malformed generator list {text!r}") from None
 
 
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 file; an unreadable or undecodable file is a usage error."""
+def _read_text(path: str | None) -> str:
+    """The text of a UTF-8 file, or of stdin for None; unreadable or undecodable input is a usage error."""
     try:
+        if path is None:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
+        raise _UsageError(f"cannot read {path or 'stdin'}: {exc}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -116,7 +119,7 @@ def _semigroup_from_args(args) -> AffineSemigroup:
     if len(sources) != 1:
         raise _UsageError("exactly one of --gens, --gens-file, --equations is required")
     if args.gens:
-        text = sys.stdin.read() if args.gens == "-" else args.gens
+        text = _read_text(None) if args.gens == "-" else args.gens
         return affine_semigroup(_parse_generators(text))
     if args.gens_file:
         return affine_semigroup(_parse_generators(_read_text(args.gens_file)))
@@ -152,8 +155,8 @@ def _add_common(parser: _Parser) -> None:
         type=int,
         default=None,
         help="abort any counting loop after N steps: nodes of one factorization search "
-        "plus the factorizations its two-atom tail emits, "
-        "Graver queue pops summed over all lift stages, Hilbert frontier rows, S-pairs that "
+        "plus the factorizations its two-atom tail emits, Graver queue pops summed over all "
+        "lift stages, Hilbert frontier rows, group elements a block monoid lists, S-pairs that "
         "survive the pair criteria in one Buchberger run, elements whose catenary tree is "
         "settled, or pairs of factorizations the naive catenary degree weighs",
     )

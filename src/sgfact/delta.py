@@ -22,7 +22,7 @@ ch. 8 §4, Thm 4).
 
 from __future__ import annotations
 
-from .core import AffineSemigroup, homogenize  # homogenize: re-exported
+from .core import AffineSemigroup
 from .errors import ConstructionError
 from .grobner import (
     BinomialIdealBasis,
@@ -34,7 +34,7 @@ from .grobner import (
     reduce_basis,
     toric_ideal,
 )
-from .hilbert import _homogenized_graver
+from .hilbert import _homogenized_graver, vsplit
 
 
 def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:
@@ -50,9 +50,7 @@ def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:
     order = TermOrder.grlex(len(S.generators))
     buckets: dict[int, list] = {}
     for x0, *v in _homogenized_graver(S):
-        plus = tuple(c if c > 0 else 0 for c in v)
-        minus = tuple(-c if c < 0 else 0 for c in v)
-        buckets.setdefault(abs(x0), []).append(binomial(plus, minus, order))
+        buckets.setdefault(abs(x0), []).append(binomial(*vsplit(v), order))
     return buckets
 
 

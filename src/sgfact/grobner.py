@@ -13,10 +13,14 @@ catch nearly all it drops (the largest run on a kernel-dimension-7 toric
 ideal pops 315 pairs instead of 256 at the same speed, and 1,845 without M
 and F).  Division looks up the first divisor in basis order on a numpy
 matrix of leading exponents that grows with the basis.  The matrix holds
-exponents clipped at 2^62 and only preselects; every hit is confirmed on the
-exact tuples.  A :class:`BinomialIdealBasis` is its members with that
+exponents clipped at 2^62, which keeps the componentwise order, and only
+preselects; every hit is confirmed on the exact tuples.  A :class:`BinomialIdealBasis` is its members with that
 matrix, and one loop, its ``reduce``, fully reduces a term: the trailing
 side of a normal form and each trailing term of a reduced basis.
+
+``toric_ideal`` saturates a lattice ideal by every variable but the last,
+one revlex run each (the last would add nothing; see its docstring), then
+runs grlex once.
 
 Binomials are NOT normalized by cancelling a common monomial factor.  That
 cancellation is only sound for saturated (toric) ideals; the ascending-chain
@@ -36,7 +40,7 @@ import numpy as np
 
 from .core import _INT_LIMIT, AffineSemigroup, Vector, vadd, vsub
 from .errors import ConstructionError, _Budget
-from .hilbert import integer_kernel_basis
+from .hilbert import integer_kernel_basis, vsplit
 
 
 class OrderKind(Enum):
@@ -131,40 +135,18 @@ def _clipped(exponent: Vector) -> list[int]:
     return [e if e < _INT_LIMIT else _INT_LIMIT for e in exponent]
 
 
-class _Rows:
-    """A growing int64 matrix of exponent vectors, clipped at 2^62.
-
-    Clipping keeps the componentwise order (a <= b implies clip(a) <= clip(b)),
-    so a test on the rows only preselects: every hit is confirmed on the exact
-    tuples, and exponents beyond int64 stay exact.
-    """
-
-    def __init__(self, ncols: int):
-        self.mat = np.zeros((64, ncols), dtype=np.int64)
-        self.count = 0
-
-    def append(self, exponent: Vector) -> None:
-        if self.count == len(self.mat):
-            self.mat = np.vstack([self.mat, np.zeros_like(self.mat)])
-        self.mat[self.count] = _clipped(exponent)
-        self.count += 1
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.mat[: self.count]
-
-
 class BinomialIdealBasis:
     """The members of a basis in basis order, with their leading exponents as rows.
 
     Members are nonzero binomials.  The basis grows by :meth:`add`; bases
-    are equal when their orders and member lists are.
+    are equal when their orders and member lists are.  ``leads`` is the
+    clipped int64 matrix of the module docstring.
     """
 
     def __init__(self, binomials: Iterable[Binomial], order: TermOrder):
         self.order = order
         self.members: list[Binomial] = []
-        self.leads = _Rows(order.nvars)
+        self._mat = np.zeros((64, order.nvars), dtype=np.int64)
         for b in binomials:
             self.add(b)
 
@@ -172,18 +154,24 @@ class BinomialIdealBasis:
     def binomials(self) -> tuple[Binomial, ...]:
         return tuple(self.members)
 
+    @property
+    def leads(self) -> np.ndarray:
+        return self._mat[: len(self.members)]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinomialIdealBasis):
             return NotImplemented
         return (self.order, self.members) == (other.order, other.members)
 
     def add(self, b: Binomial) -> None:
+        if len(self.members) == len(self._mat):
+            self._mat = np.vstack([self._mat, np.zeros_like(self._mat)])
+        self._mat[len(self.members)] = _clipped(b.plus)
         self.members.append(b)
-        self.leads.append(b.plus)
 
     def divisor(self, exponent: Vector) -> Binomial | None:
         """The first member in basis order whose leading term divides the exponent."""
-        fits = (self.leads.rows <= _clipped(exponent)).all(axis=1)
+        fits = (self.leads <= _clipped(exponent)).all(axis=1)
         for idx in np.flatnonzero(fits):
             g = self.members[idx]
             if _divides(g.plus, exponent):
@@ -264,8 +252,8 @@ def _buchberger_extend(
         if not k:
             return
         h = basis[k].plus
-        leads = G.leads.rows[:k]
-        row = G.leads.rows[k]
+        leads = G.leads[:k]
+        row = G.leads[k]
         ends = np.maximum(leads, row)
         coprime = ~((leads > 0) & (row > 0)).any(axis=1)
         # criteria M and F: (i, k) is redundant when some (j, k) has an lcm that
@@ -336,21 +324,24 @@ def toric_ideal(S: AffineSemigroup) -> BinomialIdealBasis:
 
     Lattice saturation (Sturmfels, *Groebner Bases and Convex Polytopes*,
     1996, ch. 12; Hosten-Sturmfels, "GRIN", IPCO 1995): the binomials of a
-    kernel lattice basis generate an ideal whose saturation by the product of
-    the variables is the toric ideal.  Saturate one variable at a time: under
-    revlex with that variable smallest, a Groebner basis of a homogeneous
-    ideal divided by the variable's powers generates the saturation
-    (Bayer-Stillman).  Weighting each variable by its atom's coordinate sum
-    makes every kernel binomial homogeneous.  ``delta_set_grobner`` relies on
-    the final order, grlex, being graded by total degree.
+    kernel lattice basis generate an ideal J whose saturation by the product
+    of the variables is the toric ideal.  Saturate one variable at a time:
+    under revlex with that variable smallest, a Groebner basis of a
+    homogeneous ideal divided by the variable's powers generates the
+    saturation (Bayer-Stillman).  Weighting each variable by its atom's
+    coordinate sum makes every kernel binomial homogeneous.
+
+    The last variable x_{k-1} needs none: an associated prime of
+    J : (x_0 ... x_{k-2})^oo that contains x_{k-1} contains no other
+    variable, so its variety has a point where only x_{k-1} vanishes, and a
+    basis binomial that uses x_{k-1} is nonzero there (its sides have
+    disjoint supports); if none uses it, x_{k-1} does not occur in J.
+    ``delta_set_grobner`` relies on the final order, grlex, being graded.
     """
     k = len(S.generators)
     weights = [sum(atom) for atom in S.generators]
-    pairs = [
-        (tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v))
-        for v in integer_kernel_basis(S.matrix)
-    ]
-    for i in range(k):
+    pairs = [vsplit(v) for v in integer_kernel_basis(S.matrix)]
+    for i in range(k - 1):
         order = TermOrder.revlex(weights, i)
         basis = buchberger((binomial(a, b, order) for a, b in pairs), order)
         pairs = []

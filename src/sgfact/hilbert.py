@@ -36,6 +36,11 @@ from .errors import ConstructionError, _Budget
 _INT_GUARD = 1 << 41
 
 
+def vsplit(v: Vector) -> tuple[Vector, Vector]:
+    """The positive and negative parts (v+, v-) of v: v = v+ - v-, disjoint supports."""
+    return tuple(c if c > 0 else 0 for c in v), tuple(-c if c < 0 else 0 for c in v)
+
+
 class Relation(Enum):
     EQ = "eq"
     GEQ = "geq"
@@ -470,7 +475,6 @@ def graver_basis(S: AffineSemigroup) -> tuple[tuple[Vector, Vector], ...]:
         store.add(v[1:])
     pairs = []
     for v in _primitive(store):
-        plus = tuple(c if c > 0 else 0 for c in v)
-        minus = tuple(-c if c < 0 else 0 for c in v)
+        plus, minus = vsplit(v)
         pairs.append((plus, minus) if plus > minus else (minus, plus))
     return tuple(sorted(pairs))

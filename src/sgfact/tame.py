@@ -20,9 +20,10 @@ field is the one record that it is full; without it they raise ``NotFullError``.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .core import AffineSemigroup, Vector, _descent_set, affine_semigroup, as_vector, value_of, vsub
-from .errors import ConstructionError, NotFullError, NotInSemigroupError
+from .errors import ConstructionError, NotFullError, NotInSemigroupError, _Budget
 from .hilbert import DiophantineSystem, Relation, diophantine_system, hilbert_basis, minimal_solutions
 
 
@@ -55,6 +56,7 @@ def block_monoid(moduli, subset=None) -> AffineSemigroup:
     if not mods or any(m < 2 for m in mods):
         raise ConstructionError("block monoids need moduli >= 2")
     if subset is None:
+        _Budget().spend(prod(mods))  # one step per group element listed
         elements = sorted(
             g for g in product(*(range(m) for m in mods)) if any(g)
         )

@@ -26,8 +26,7 @@ from math import gcd
 import numpy as np
 
 from sgfact import AffineSemigroup, affine_semigroup, delta_of_element
-from sgfact.core import factorizations, value_of
-from sgfact.delta import homogenize
+from sgfact.core import factorizations, homogenize, value_of
 from sgfact.grobner import Binomial, TermOrder, binomial, buchberger, reduce_basis, toric_ideal
 from sgfact.hilbert import graver_basis, integer_kernel_basis
 from sgfact.presentation import minimal_presentation

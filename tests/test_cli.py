@@ -1,8 +1,17 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sgfact
 from sgfact.cli import run
 
 # kernel dimension 7
@@ -194,6 +203,8 @@ class TestSuccess:
         (["betti", "--gens-file", "{tmp}/bad.txt"], 2),
         (["tame", "--equations", "{tmp}/bad.txt"], 2),
         (["hilbert", "--system", "{tmp}/bad.txt"], 2),
+        # the group a block monoid lists counts one step per element
+        (["block-monoid", "--moduli", "100000 100000", "--max-steps", "2000"], 4),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):
@@ -218,3 +229,156 @@ def test_error_exit_codes(argv, code, capsys, tmp_path):
     assert run(argv) == (code, "")
     assert capsys.readouterr().err.startswith("sgfact: error: ")
 
+
+def test_undecodable_stdin(monkeypatch, capsys):
+    # stdin decodes strictly under a UTF-8 locale
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    assert run(["betti", "--gens", "-"]) == (2, "")
+    assert capsys.readouterr().err.startswith("sgfact: error: cannot read stdin")
+
+
+class TestProcess:
+    """``python -m sgfact.cli`` as its own process: ``main``, the exit status and the streams."""
+
+    @staticmethod
+    def _run(*argv):
+        path = [str(Path(sgfact.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        cmd = [sys.executable, "-m", "sgfact.cli", *argv]
+        return subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+
+    def test_success(self):
+        proc = self._run("betti", "--gens", "3 4 5")
+        assert (proc.returncode, proc.stdout) == (0, b"8\n9\n10\n")
+
+    def test_missing_source(self):
+        proc = self._run("betti")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"sgfact: error: ")
+
+
+# Fuzzing: random command lines, mostly valid, each under a step limit of at
+# most 2,000, must end with a documented exit code and no partial output.
+
+_FUZZ_FILES = {
+    "gens.txt": b"6 9 20\n",
+    "planar.txt": b"(1,0);(1,1);(0,2)\n",
+    "junk.txt": b"3 x 5\n",
+    "bad.txt": b"\xff\xfe",
+    "full.json": json.dumps({"matrix": [[1, -1, 0], [0, 1, -1]], "moduli": [2, 3]}).encode(),
+    "c3.json": json.dumps({"matrix": [[1, 2]], "moduli": [3]}).encode(),
+    "system.json": json.dumps({"matrix": [[1, 1, -2]]}).encode(),
+    "geq.json": json.dumps({"matrix": [[1, 2], [3, 1]], "relation": "geq", "rhs": [3, 2]}).encode(),
+    "huge.json": json.dumps({"matrix": [[10**30, -1]], "moduli": [-3], "rhs": [2**70]}).encode(),
+    "list.json": b"[1, 2]",
+    "truncated.json": b'{"matrix": [[1, 2]',
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, data in _FUZZ_FILES.items():
+        (root / name).write_bytes(data)
+    # a missing file and a directory stand beside the real ones
+    return {name: str(root / name) for name in [*_FUZZ_FILES, "missing.txt"]} | {"dir": str(root)}
+
+
+def _joined(sep, strategy, fmt=str):
+    return st.lists(strategy, min_size=1, max_size=4).map(lambda v: sep.join(map(fmt, v)))
+
+
+# integers of every size: small, near the int64 and 2^62 limits, and negative
+_number = st.one_of(
+    st.integers(-2, 60),
+    st.integers(61, 10**9),
+    st.integers(2**62 - 2, 2**70),
+    st.integers(-(2**70), -1),
+)
+_tuple = st.lists(_number, min_size=1, max_size=3).map(lambda v: "(" + ",".join(map(str, v)) + ")")
+_junk = st.sampled_from(["", " ", "(1,2", "1,,2", "()", "(a)", "x", "--", "(1;2)", "1e3", "0x10", "\udcff"])
+_noisy_value = st.one_of(_number.map(str), _tuple, _joined(" ", _number), _joined(";", _tuple), _junk)
+
+_NUMERICAL = _joined(" ", st.integers(1, 40))
+_PLANAR = _joined(";", st.tuples(st.integers(0, 6), st.integers(0, 6)), lambda v: "(%d,%d)" % v)
+_ELEMENT_COMMANDS = ("factorizations", "length-set", "delta-element", "catenary")
+_COMMANDS = _ELEMENT_COMMANDS + (
+    "delta-set", "min-presentation", "betti", "graver", "catenary-range", "tame",
+    "block-monoid", "hilbert",
+)
+_FLAGS = (
+    "--gens", "--gens-file", "--equations", "--element", "--method", "--bound", "--atom-index",
+    "--moduli", "--subset", "--system", "--format", "--restrict-atoms",
+)
+
+
+@st.composite
+def _valid_argv(draw, paths):
+    """A well-formed command line; its semantics may still fail (exit 3 or 4)."""
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command]
+    dim = 1
+    if command == "tame":
+        argv += ["--equations", paths[draw(st.sampled_from(["full.json", "c3.json"]))]]
+        if draw(st.booleans()):
+            argv += ["--atom-index", str(draw(st.integers(0, 4)))]
+    elif command == "block-monoid":
+        argv += ["--moduli", draw(_joined(" ", st.integers(2, 6)).filter(lambda m: len(m) <= 5))]
+    elif command == "hilbert":
+        argv += ["--system", paths[draw(st.sampled_from(["system.json", "geq.json"]))]]
+    elif draw(st.integers(0, 4)):
+        dim = 1 if command == "catenary-range" else draw(st.sampled_from([1, 2]))
+        argv += ["--gens", draw(_PLANAR if dim == 2 else _NUMERICAL)]
+    else:
+        # stdin holds "6 9 20" most of the time; full.json is a semigroup in N^3
+        flag, name, dim = draw(st.sampled_from([
+            ("--gens-file", "gens.txt", 1), ("--gens-file", "planar.txt", 2),
+            ("--equations", "full.json", 3), ("--gens", "-", 1),
+        ]))
+        argv += [flag, paths.get(name, name)]
+    if command in _ELEMENT_COMMANDS:
+        element = draw(st.lists(st.integers(0, 150 if dim == 1 else 12), min_size=dim, max_size=dim))
+        argv += ["--element", str(element[0]) if dim == 1 else "(%s)" % ",".join(map(str, element))]
+    if command == "catenary":
+        argv += ["--method", draw(st.sampled_from(["naive", "dynamic"]))]
+    if command == "delta-set":
+        argv += ["--method", draw(st.sampled_from(["grobner", "hilbert"]))]
+    if command == "catenary-range":
+        argv += ["--bound", str(draw(st.integers(0, 300)))]
+    return argv + ["--format", draw(st.sampled_from(["plain", "json"]))]
+
+
+@st.composite
+def _command_lines(draw, paths):
+    argv = draw(_valid_argv(paths))
+    # one time in four, break it: drop a token, give a flag any value (stdin
+    # and every file included), add flags, or swap in a bogus subcommand
+    mutation = draw(st.sampled_from(["none"] * 15 + ["drop", "value", "value", "flags", "bogus"]))
+    noisy = st.one_of(_noisy_value, st.sampled_from(sorted(paths.values())), st.just("-"))
+    if mutation == "drop":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif mutation == "value":
+        argv[draw(st.sampled_from(range(2, len(argv), 2)))] = draw(noisy)
+    elif mutation == "flags":
+        for flag in draw(st.lists(st.sampled_from(_FLAGS), min_size=1, max_size=3)):
+            argv += [flag, draw(noisy)]
+    elif mutation == "bogus":
+        argv[0] = "bogus"
+    steps = draw(st.one_of(st.integers(0, 100), st.integers(-3, 2000)))
+    return argv + ["--max-steps", str(steps)]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_command_lines(fuzz_paths, data):
+    argv = data.draw(_command_lines(fuzz_paths), label="argv")
+    # stdin decodes strictly, as under a UTF-8 locale
+    stdin = data.draw(st.sampled_from([b"6 9 20\n"] * 4 + [b"(1,0);(0,1)", b"", b"\xff\xfe", b"3 x"]))
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")), \
+            contextlib.redirect_stderr(err):
+        code, out = run(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code:
+        assert out == "", argv
+        assert err.getvalue().startswith("sgfact: error: "), argv

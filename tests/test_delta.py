@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgfact import ResourceLimitError, affine_semigroup, delta_of_element, step_limit
+from sgfact.core import homogenize
 from sgfact.delta import (
     _gap_buckets,
     _homogenized_binomials,
     _lex_delta_basis,
     delta_set_grobner,
     delta_set_hilbert,
-    homogenize,
 )
 from sgfact.grobner import (
     BinomialIdealBasis,
@@ -20,9 +20,10 @@ from sgfact.grobner import (
     binomial,
     buchberger,
     normal_form,
+    reduce_basis,
     toric_ideal,
 )
-from sgfact.hilbert import primitive_kernel_vectors
+from sgfact.hilbert import _homogenized_graver, primitive_kernel_vectors
 from sgfact.presentation import betti_elements
 
 from oracles import (
@@ -212,6 +213,24 @@ class TestLexDeltaBasis:
             else:
                 s = random_numerical_semigroup(rng, k_max=4, atom_max=40)
             assert _lex_delta_basis(s).binomials == reference_lex_delta_basis(s).binomials, s
+
+    def test_matches_reduced_homogenized_graver_basis(self):
+        # the Graver basis of homogenize(S) contains a universal Groebner basis
+        # of its toric ideal (Sturmfels, Groebner Bases and Convex Polytopes,
+        # ch. 4 and 7), so reducing it under lex needs no Buchberger run; it
+        # comes from project-and-lift, not from saturation
+        rng = random.Random(20)
+        instances = [random_numerical_semigroup(rng, k_max=4, atom_max=40) for _ in range(25)]
+        instances += [random_affine_semigroup(rng, k_max=5, entry_max=6) for _ in range(15)]
+        instances += [random_affine_semigroup(rng, d=3, k_max=5, entry_max=4) for _ in range(10)]
+        for s in instances:
+            order = TermOrder.lex(len(s.generators) + 1)
+            graver = [
+                binomial(tuple(max(c, 0) for c in v), tuple(max(-c, 0) for c in v), order)
+                for v in _homogenized_graver(s)
+            ]
+            expected = reduce_basis(BinomialIdealBasis(graver, order))
+            assert _lex_delta_basis(s).binomials == expected.binomials, s
 
     @pytest.mark.parametrize("gens", NAMED, ids=str)
     def test_toric_ideal_is_graded(self, gens):

@@ -19,7 +19,7 @@ from sgfact import (
     primitive_kernel_vectors,
     step_limit,
 )
-from sgfact.delta import homogenize
+from sgfact.core import homogenize
 from sgfact.hilbert import _homogenized_graver
 
 from oracles import (
