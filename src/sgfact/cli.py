@@ -15,9 +15,10 @@ Buchberger run; the catenary trees built one element at a time; the naive
 catenary degree, one step per pair of factorizations) aborts after N steps
 of its own.
 
-Exit codes: 0 success, 2 parse/validation error (a negative ``--max-steps``
-included), 3 semantic error (element outside the semigroup, non-full input
-where fullness is required), 4 step budget exceeded.
+Exit codes: 0 success (``-h``/``--help`` included, with the usage as the
+output), 2 parse/validation error (a negative ``--max-steps`` included), 3
+semantic error (element outside the semigroup, non-full input where fullness
+is required), 4 step budget exceeded or memory exhausted.
 """
 
 from __future__ import annotations
@@ -55,13 +56,20 @@ EXIT_SEMANTIC = 3
 EXIT_BUDGET = 4
 
 
-class _UsageError(Exception):
+class _UsageError(SgfactError):
+    pass
+
+
+class _HelpRequested(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep control of the exit code and stream
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # -h: run returns the usage as its output
+        raise _HelpRequested(self.format_help())
 
 
 def _parse_vector(text: str) -> Vector:
@@ -309,14 +317,13 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         args = _PARSER.parse_args(list(argv))
         with step_limit(args.max_steps):
             output = _run_command(args)
-    except _UsageError as exc:
-        print(f"sgfact: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE, ""
+    except _HelpRequested as exc:
+        return EXIT_OK, exc.args[0]
     except (NotInSemigroupError, NotFullError, UnsupportedDimensionError) as exc:
         print(f"sgfact: error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC, ""
-    except ResourceLimitError as exc:
-        print(f"sgfact: error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"sgfact: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET, ""
     except SgfactError as exc:
         print(f"sgfact: error: {exc}", file=sys.stderr)
@@ -326,8 +333,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     code, output = run(sys.argv[1:] if argv is None else argv)
-    if output:
-        sys.stdout.write(output)
+    sys.stdout.write(output)
     return code
 
 

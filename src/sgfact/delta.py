@@ -8,9 +8,10 @@ reads too.  A kernel vector (x_0, v) of its matrix is a kernel vector v of
 the atom matrix with x_0 = |v-| - |v+|, so the extra coordinate records,
 negated, the length gap of the pair of factorizations that v joins.
 
-The chain route tracks the ascending ideals generated by the Graver binomials
-of the homogenized semigroup, bucketed by that gap: a gap j joins the delta
-set exactly when some gap-j binomial escapes the ideal of the smaller gaps.
+The chain route extends one grlex basis, from the empty one, by the Graver
+binomials of the homogenized semigroup bucketed by that gap, in ascending
+order: a gap j joins the delta set exactly when some gap-j binomial escapes
+the ideal of the smaller gaps, that is, when its bucket adds a member.
 
 The homogenization route reads the delta set off the exponents of the extra
 variable x_0 in the reduced lex basis of the toric ideal of the homogenized
@@ -28,9 +29,7 @@ from .grobner import (
     BinomialIdealBasis,
     TermOrder,
     binomial,
-    buchberger,
     buchberger_extend,
-    normal_form,
     reduce_basis,
     toric_ideal,
 )
@@ -57,14 +56,15 @@ def _gap_buckets(S: AffineSemigroup) -> dict[int, list]:
 def delta_set_hilbert(S: AffineSemigroup) -> tuple[int, ...]:
     """The delta set, by the ascending-chain route.
 
-    Start from a Groebner basis of the gap-0 binomials; walk the positive gaps
-    in ascending order, report j when some gap-j binomial has a nonzero normal
-    form against the current basis, and then extend the basis by that bucket.
-    The test is exact at every j > 0:
+    Start from the empty basis and extend it by every gap bucket in
+    ascending order; report a positive gap j when extending by its bucket
+    adds a member.  The test is exact at every j > 0:
 
-    1. A Graver decomposition is conformal in the gap too, so the buckets of
-       gap at most j generate the ideal of all pairs of factorizations whose
-       lengths differ by at most j.
+    1. Before gap j the basis is a Groebner basis of the smaller gaps, and
+       gap-j binomials enter it only as nonzero normal forms, that is, when
+       they escape its ideal.  A Graver decomposition is conformal in the gap
+       too, so the buckets of gap at most j generate the ideal of all pairs
+       of factorizations whose lengths differ by at most j.
     2. A binomial x^a - x^b lies in the ideal of a set of moves iff moves
        from the set join a and b inside N^k (Diaconis-Sturmfels, "Algebraic
        algorithms for sampling from conditional distributions", Ann. Statist.
@@ -77,13 +77,13 @@ def delta_set_hilbert(S: AffineSemigroup) -> tuple[int, ...]:
        with steps of gap below j crosses the empty interval between them, so
        some gap-j generator escapes.
     """
-    buckets = _gap_buckets(S)
-    basis = buchberger(buckets.pop(0, []), TermOrder.grlex(len(S.generators)))
+    basis = BinomialIdealBasis((), TermOrder.grlex(len(S.generators)))
     found = []
-    for j, gens in sorted(buckets.items()):
-        if any(not normal_form(b, basis).is_zero for b in gens):
+    for j, gens in sorted(_gap_buckets(S).items()):
+        grown = buchberger_extend(basis, gens)
+        if j and len(grown.members) > len(basis.members):
             found.append(j)
-            basis = buchberger_extend(basis, gens)
+        basis = grown
     return tuple(found)
 
 
@@ -96,7 +96,8 @@ def _homogenized_binomials(S: AffineSemigroup, order: TermOrder) -> list:
 def _lex_delta_basis(S: AffineSemigroup) -> BinomialIdealBasis:
     """The reduced lex basis, x_0 greatest, of the toric ideal of ``homogenize(S)``."""
     order = TermOrder.lex(len(S.generators) + 1)
-    return reduce_basis(buchberger(_homogenized_binomials(S, order), order))
+    empty = BinomialIdealBasis((), order)
+    return reduce_basis(buchberger_extend(empty, _homogenized_binomials(S, order)))
 
 
 def delta_set_grobner(S: AffineSemigroup) -> tuple[int, ...]:

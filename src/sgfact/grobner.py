@@ -5,18 +5,20 @@ and -1, so a polynomial is just an ordered pair of exponent vectors and the
 whole Buchberger loop closes over that representation: S-pairs and remainders
 of binomials are again binomials (or zero).
 
-Buchberger queues each new member's pairs past criteria M and F and the
-coprime criterion of Gebauer and Moeller ("On an installation of
-Buchberger's algorithm", JSC 6, 1988).  Their chain criterion is left out on
-purpose: it needs a ledger of every queued pair, and the other criteria
-catch nearly all it drops (the largest run on a kernel-dimension-7 toric
-ideal pops 315 pairs instead of 256 at the same speed, and 1,845 without M
-and F).  Division looks up the first divisor in basis order on a numpy
-matrix of leading exponents that grows with the basis.  The matrix holds
-exponents clipped at 2^62, which keeps the componentwise order, and only
-preselects; every hit is confirmed on the exact tuples.  A :class:`BinomialIdealBasis` is its members with that
-matrix, and one loop, its ``reduce``, fully reduces a term: the trailing
-side of a normal form and each trailing term of a reduced basis.
+Generators and S-pairs enter a Buchberger basis one way: as their normal
+form against the members so far, unless that is ZERO.  Each new member's
+pairs are queued past criteria M and F and the coprime criterion of Gebauer
+and Moeller ("On an installation of Buchberger's algorithm", JSC 6, 1988).
+Their chain criterion is left out on purpose: it needs a ledger of every
+queued pair, and the other criteria catch nearly all it drops (the largest
+run on a kernel-dimension-7 toric ideal pops 243 pairs instead of 231, and
+844 without M and F).  Division looks up the first divisor in basis order on
+a numpy matrix of leading exponents that grows with the basis.  The matrix
+holds exponents clipped at 2^62, which keeps the componentwise order, and
+only preselects; every hit is confirmed on the exact tuples.  A
+:class:`BinomialIdealBasis` is its members with that matrix, and one loop,
+its ``reduce``, fully reduces a term: the trailing side of a normal form and
+each trailing term of a reduced basis.
 
 ``toric_ideal`` saturates a lattice ideal by every variable but the last,
 one revlex run each (the last would add nothing; see its docstring), then
@@ -31,7 +33,6 @@ but are not toric, and cancelling there can silently enlarge them.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -219,13 +220,13 @@ def spair(f: Binomial, g: Binomial, order: TermOrder) -> Binomial:
 def buchberger(gens: Iterable[Binomial], order: TermOrder) -> BinomialIdealBasis:
     """A Groebner basis of the ideal generated by pure-difference binomials.
 
-    Normal selection strategy (smallest lcm first, FIFO ties), under
-    criteria M and F and the coprime criterion, without the chain criterion
-    (see the module docstring).  Under :func:`~sgfact.errors.step_limit`
-    every pair taken off the queue is one step, which counts only pairs
-    that survive the criteria.
+    Generators enter in turn, then S-pairs by the normal selection strategy
+    (smallest lcm first, FIFO ties), as in the module docstring.  Under
+    :func:`~sgfact.errors.step_limit` every pair taken off the queue is one
+    step, which counts only pairs that survive the criteria; normal-forming
+    a generator is not a step.
     """
-    return _buchberger_extend([], gens, order)
+    return buchberger_extend(BinomialIdealBasis((), order), gens)
 
 
 def buchberger_extend(G: BinomialIdealBasis, new_gens: Iterable[Binomial]) -> BinomialIdealBasis:
@@ -233,25 +234,19 @@ def buchberger_extend(G: BinomialIdealBasis, new_gens: Iterable[Binomial]) -> Bi
 
     The members of G form a settled prefix: pairs inside it are never formed,
     and only pairs with a new member enter the queue, under the criteria and
-    the step count of ``buchberger``.  G itself is left as it is.
+    the step count of ``buchberger``.  G itself is left as it is; the result
+    has more members exactly when a new generator lies outside its ideal.
     """
-    return _buchberger_extend(G.members, new_gens, G.order)
-
-
-def _buchberger_extend(
-    prefix: list[Binomial], gens: Iterable[Binomial], order: TermOrder
-) -> BinomialIdealBasis:
     budget = _Budget()
-    G = BinomialIdealBasis(prefix, order)
+    order = G.order
+    G = BinomialIdealBasis(G.members, order)
     basis = G.members
-    counter = itertools.count()
-    queue: list[tuple[tuple, int, int, int]] = []
+    queue: list[tuple[tuple, int, int]] = []  # (lcm key, k, i); pairs come in (k, i) order
 
     def install(k: int) -> None:
         """Queue the pairs of the new member k that criteria M and F and the coprime test keep."""
         if not k:
             return
-        h = basis[k].plus
         leads = G.leads[:k]
         row = G.leads[k]
         ends = np.maximum(leads, row)
@@ -272,26 +267,23 @@ def _buchberger_extend(
                 | coprime[None, :]
             )
             for a, i in enumerate(block.tolist()):
-                lcm = _lcm(basis[i].plus, h)
+                lcm = _lcm(basis[i].plus, basis[k].plus)
                 if not any(_divides(basis[j].plus, lcm) for j in np.flatnonzero(witness[a])):
-                    heapq.heappush(queue, (order.key(lcm), next(counter), i, k))
+                    heapq.heappush(queue, (order.key(lcm), k, i))
 
-    for b in gens:
-        if not b.is_zero:
-            G.add(b)
+    def admit(f: Binomial) -> None:
+        """Add the normal form of f against the basis so far, unless it is ZERO."""
+        r = normal_form(f, G)
+        if not r.is_zero:
+            G.add(r)
             install(len(basis) - 1)
 
+    for b in new_gens:
+        admit(b)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        _, k, i = heapq.heappop(queue)
         budget.spend()
-        s = spair(basis[i], basis[j], order)
-        if s.is_zero:
-            continue
-        r = normal_form(s, G)
-        if r.is_zero:
-            continue
-        G.add(r)
-        install(len(basis) - 1)
+        admit(spair(basis[i], basis[k], order))
     return G
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgfact
-from sgfact.cli import run
+from sgfact import cli
+from sgfact.cli import main, run
 
 # kernel dimension 7
 WIDE = "(0,0,2);(0,1,1);(0,1,2);(0,2,0);(1,0,1);(1,1,0);(1,1,1);(2,0,0);(2,1,0);(3,0,0)"
@@ -237,6 +238,27 @@ def test_undecodable_stdin(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("sgfact: error: cannot read stdin")
 
 
+def test_help_returns_the_usage(capsys):
+    # argparse prints -h itself and exits; run returns the text instead
+    code, out = run(["betti", "--help"])
+    assert code == 0 and out.startswith("usage: sgfact betti")
+    assert run(["-h"])[1].startswith("usage: sgfact ")
+    assert capsys.readouterr() == ("", "")
+    assert main(["betti", "-h"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_out_of_memory_exits_4(monkeypatch, capsys):
+    # an allocation that fails, as np.eye does for a huge block monoid, ends
+    # like a spent budget; nothing here really allocates it
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli._tame, "block_monoid", exhausted)
+    assert run(["block-monoid", "--moduli", "200000"]) == (4, "")
+    assert capsys.readouterr().err == "sgfact: error: out of memory\n"
+
+
 class TestProcess:
     """``python -m sgfact.cli`` as its own process: ``main``, the exit status and the streams."""
 
@@ -352,8 +374,9 @@ def _valid_argv(draw, paths):
 def _command_lines(draw, paths):
     argv = draw(_valid_argv(paths))
     # one time in four, break it: drop a token, give a flag any value (stdin
-    # and every file included), add flags, or swap in a bogus subcommand
-    mutation = draw(st.sampled_from(["none"] * 15 + ["drop", "value", "value", "flags", "bogus"]))
+    # and every file included), add flags, swap in a bogus subcommand, or ask
+    # for help anywhere
+    mutation = draw(st.sampled_from(["none"] * 18 + ["drop", "value", "value", "flags", "bogus", "help"]))
     noisy = st.one_of(_noisy_value, st.sampled_from(sorted(paths.values())), st.just("-"))
     if mutation == "drop":
         del argv[draw(st.integers(1, len(argv) - 1))]
@@ -364,6 +387,8 @@ def _command_lines(draw, paths):
             argv += [flag, draw(noisy)]
     elif mutation == "bogus":
         argv[0] = "bogus"
+    elif mutation == "help":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
     steps = draw(st.one_of(st.integers(0, 100), st.integers(-3, 2000)))
     return argv + ["--max-steps", str(steps)]
 

@@ -102,6 +102,17 @@ class TestKnownDeltaSets:
             assert method(affine_semigroup([1000003, 1000033])) == (30,)
 
 
+def test_chain_route_extends_by_normal_forms():
+    # every gap bucket enters its basis as normal forms, so a bucket of the
+    # ideal costs its divisions and no Buchberger pairs; the Graver basis is
+    # warm, as after graver_basis or an earlier delta set
+    s = affine_semigroup([16, 19, 21, 29, 34])
+    _homogenized_graver(s)
+    with cpu_limit(0.35):
+        assert delta_set_hilbert(s) == (1, 2)
+    assert delta_set_grobner(s) == (1, 2)
+
+
 def _slack_buckets(S) -> dict[int, list]:
     """The gap buckets from the Graver basis of the atom matrix extended by a
     zero-padded length row [1 .. 1 | -1], whose last coordinate is the gap."""
