@@ -25,18 +25,22 @@ vertex's support bitmask, and the tree edges as (weight, i, j), i < j
 indices into the vertex list.  Index order is code order, so sorting index
 edges sorts them as the tuple edges would sort.  A shift by e_i adds one to
 each length and sets bit i of each mask, so :func:`_disjoint_pairs` decodes
-nothing, and Kruskal's union-find is a plain list over the indices.  The
-memo, a plain dict, maps an element to its packed tree, or to ``None`` for a
-non-member; :func:`mwst` decodes only the tree it returns, each vertex once.
-The ascending sweep over a numerical semigroup drops each tree once it lies
-max(atom) below the sweep, where it can never be needed again.
+nothing, and Kruskal's union-find is a plain list over the indices.
+Elements settle bottom-up through ``core._settle``, with :func:`_build_tree`
+as the rule.  The memo, a plain dict, maps an element to its packed tree, or
+to ``None`` for a non-member, a nonzero element with no member one atom
+below.  :func:`mwst` decodes only the tree it returns, each vertex once.  The
+ascending sweep over a numerical semigroup settles each element on one
+budget for the whole sweep, and drops each tree once it lies max(atom) below
+the sweep, where it can never be needed again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .core import _INT_LIMIT, AffineSemigroup, Vector, _descent_set, as_vector, dist, factorizations, vsub
+from .core import _INT_LIMIT, AffineSemigroup, Vector, _settle, as_vector, dist, factorizations
 from .errors import ConstructionError, NotInSemigroupError, UnsupportedDimensionError, _Budget
 
 Edge = tuple[int, Vector, Vector]  # (weight, smaller endpoint, larger endpoint)
@@ -132,15 +136,15 @@ def _disjoint_pairs(lengths: list[int], masks: list[int], k: int) -> list[tuple[
     ]
 
 
-def _build_tree(k: int, children: list[tuple[int, Packed]]) -> Packed:
+def _build_tree(k: int, element: Vector, children: list[tuple[int, Packed]]) -> Packed | None:
     """Kruskal over the shifted child trees and the disjoint-support pairs.
 
     ``children`` holds (atom index, packed tree of the element minus that
-    atom) for every member one atom below; with none, the element is zero and
-    its fiber is the zero vector, code 0.
+    atom) for every member one atom below.  With none, the element is a
+    non-member (None) unless it is zero, whose fiber is the zero vector, code 0.
     """
     if not children:
-        return [0], [0], [0], []
+        return None if any(element) else ([0], [0], [0], [])
     shifted = [
         ([v + (1 << (_W * (k - 1 - atom_index))) for v in tree[0]], 1 << atom_index, tree)
         for atom_index, tree in children
@@ -161,32 +165,13 @@ def _build_tree(k: int, children: list[tuple[int, Packed]]) -> Packed:
     return vertices, lengths, masks, _kruskal(len(vertices), edges)
 
 
-def _settle(S: AffineSemigroup, memo: Memo, element: Vector) -> Packed | None:
-    """Record the packed tree of one element, or None for a non-member, in the memo.
-
-    Every nonnegative element - atom must be settled already.
-    """
-    children = []
-    for atom_index, atom in enumerate(S.generators):
-        child = vsub(element, atom)
-        if min(child) >= 0 and (tree := memo[child]) is not None:
-            children.append((atom_index, tree))
-    tree = _build_tree(len(S.generators), children) if children or not any(element) else None
-    memo[element] = tree
-    return tree
-
-
 def _packed_tree(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None) -> Packed:
     """The packed tree of gamma, settling first every element below it not in the memo."""
     g = as_vector(gamma, S.dim)
-    if memo is None:
-        memo = {}
-    if g not in memo:
-        if any(c < 0 for c in g):
-            raise NotInSemigroupError(f"{gamma} has negative coordinates")
-        for element in _descent_set(S, g, memo):
-            _settle(S, memo, element)
-    tree = memo[g]
+    if any(c < 0 for c in g):
+        raise NotInSemigroupError(f"{gamma} has negative coordinates")
+    rule = partial(_build_tree, len(S.generators))
+    tree = _settle(S, g, {} if memo is None else memo, rule, _Budget().spend)
     if tree is None:
         raise NotInSemigroupError(f"{gamma} is not in the semigroup")
     return tree
@@ -195,9 +180,9 @@ def _packed_tree(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None) -> 
 def mwst(S: AffineSemigroup, gamma: int | Vector, memo: Memo | None = None) -> WeightedTree:
     """A minimum-weight spanning tree of the fiber graph of gamma.
 
-    Trees for everything below gamma are built bottom-up (an explicit
-    worklist ordered by coordinate sum, so recursion depth is never an
-    issue); membership falls out of the same pass.  ``memo`` maps each
+    Trees for everything below gamma are built bottom-up by ``core._settle``
+    (an explicit worklist ordered by coordinate sum, so recursion depth is
+    never an issue); membership falls out of the same pass.  ``memo`` maps each
     settled element to its internal packed tree, or to None for a non-member;
     pass one dict to share the work across calls.  Only the returned tree is
     decoded, into tuple vertices and (weight, a, b) edges.  Under
@@ -227,14 +212,14 @@ def catenary_range(S: AffineSemigroup, bound: int) -> list[tuple[int, int]]:
     if S.dim != 1:
         raise UnsupportedDimensionError("ascending sweep requires a numerical semigroup")
     spend = _Budget().spend
+    rule = partial(_build_tree, len(S.generators))
     top = max(a[0] for a in S.generators)
     memo: Memo = {}
     results: list[tuple[int, int]] = []
     for gamma in range(bound + 1):
-        spend()
         if gamma >= _INT_LIMIT:
             raise ConstructionError(f"element {gamma} exceeds the supported integer range")
-        tree = _settle(S, memo, (gamma,))
+        tree = _settle(S, (gamma,), memo, rule, spend)
         memo.pop((gamma - top,), None)
         if tree is not None:
             results.append((gamma, _bottleneck(tree[3])))

@@ -2,18 +2,19 @@
 
 One subcommand per invariant; a semigroup comes from inline generators
 (``--gens``), a generators file, or an equations file describing a full
-semigroup, the only kind ``tame`` accepts.  Output is deterministic: plain
-text or compact JSON with sorted keys, vectors as integer arrays, every set
-sorted.
+semigroup, the only kind ``tame`` accepts.  ``block-monoid`` and ``hilbert``
+read their own input and reject these three flags.  Output is deterministic:
+plain text or compact JSON with sorted keys, vectors as integer arrays, every
+set sorted.
 
 ``--max-steps N`` runs the whole command under ``step_limit(N)``: every
 counting loop it starts (each factorization search, one step per node and
 one per factorization its closed-form two-atom tail emits, the semigroup's
 construction included; the Graver queue pops, summed over every lift stage;
 the Hilbert frontier search; the group elements a block monoid lists; each
-Buchberger run; the catenary trees built one element at a time; the naive
-catenary degree, one step per pair of factorizations) aborts after N steps
-of its own.
+Buchberger run; the catenary trees and the tame degree's shortest lengths,
+settled one element at a time; the naive catenary degree, one step per pair
+of factorizations) aborts after N steps of its own.
 
 Exit codes: 0 success (``-h``/``--help`` included, with the usage as the
 output), 2 parse/validation error (a negative ``--max-steps`` included), 3
@@ -153,10 +154,11 @@ def _emit(args, payload: dict, plain_lines: list[str]) -> str:
     return "\n".join(plain_lines)
 
 
-def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--gens", help="inline generators: '3 4 5' or '(1,0);(1,1)'; '-' reads stdin")
-    parser.add_argument("--gens-file", help="file containing a generator list")
-    parser.add_argument("--equations", help="JSON file {'matrix': [[..]], 'moduli': [..]} (full semigroup)")
+def _add_common(parser: _Parser, source: bool) -> None:
+    if source:  # the semigroup a command reads through _semigroup_from_args
+        parser.add_argument("--gens", help="inline generators: '3 4 5' or '(1,0);(1,1)'; '-' reads stdin")
+        parser.add_argument("--gens-file", help="file containing a generator list")
+        parser.add_argument("--equations", help="JSON file {'matrix': [[..]], 'moduli': [..]} (full semigroup)")
     parser.add_argument("--format", choices=("plain", "json"), default="plain")
     parser.add_argument(
         "--max-steps",
@@ -165,8 +167,8 @@ def _add_common(parser: _Parser) -> None:
         help="abort any counting loop after N steps: nodes of one factorization search "
         "plus the factorizations its two-atom tail emits, Graver queue pops summed over all "
         "lift stages, Hilbert frontier rows, group elements a block monoid lists, S-pairs that "
-        "survive the pair criteria in one Buchberger run, elements whose catenary tree is "
-        "settled, or pairs of factorizations the naive catenary degree weighs",
+        "survive the pair criteria in one Buchberger run, elements whose catenary tree or "
+        "shortest length is settled, or pairs of factorizations the naive catenary degree weighs",
     )
 
 
@@ -174,9 +176,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sgfact", description="factorization invariants of affine semigroups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, **kwargs):
+    def command(name, source=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        _add_common(p)
+        _add_common(p, source)
         return p
 
     p = command("factorizations", help="all factorizations of an element")
@@ -197,10 +199,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--bound", type=int, required=True)
     p = command("tame", help="tame degree of a full semigroup (needs --equations)")
     p.add_argument("--atom-index", type=int, default=None, help="0-based: report t_i only")
-    p = command("block-monoid", help="atoms of a block monoid over Z_m1 x ... x Z_mr")
+    p = command("block-monoid", source=False, help="atoms of a block monoid over Z_m1 x ... x Z_mr")
     p.add_argument("--moduli", required=True, help="e.g. '2 2 2'")
     p.add_argument("--subset", default=None, help="group elements '(0,1);(1,1)' (default: all nonzero)")
-    p = command("hilbert", help="Hilbert basis / minimal solutions of a system file")
+    p = command("hilbert", source=False, help="Hilbert basis / minimal solutions of a system file")
     p.add_argument("--system", required=True, help="JSON {'matrix': .., 'relation': 'eq'|'geq', 'rhs': .., 'moduli': ..}")
     return parser
 

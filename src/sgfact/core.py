@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Container, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import ConstructionError, DimensionMismatchError, _Budget
 
@@ -153,27 +153,35 @@ def homogenize(S: AffineSemigroup) -> AffineSemigroup:
     return AffineSemigroup(S.dim + 1, tuple(gens))
 
 
-def _descent_set(S: AffineSemigroup, gamma: Vector, memo: Container[Vector]) -> list[Vector]:
-    """gamma and every nonnegative gamma - (sum of atoms) not yet in the memo.
+def _settle(S: AffineSemigroup, gamma: Vector, memo: dict, rule: Callable, spend: Callable[[], None]):
+    """memo[gamma], after settling gamma and each nonnegative gamma - (sum of atoms) not in the memo.
 
-    Ordered by ascending coordinate sum, so each comes after all elements one
-    atom below it.  A settled element is not descended into: everything below
-    it was settled first.  Under :func:`~sgfact.errors.step_limit` every
-    element found is one step, since each is settled next.
+    The descent finds them, one ``spend()`` each, computes each u - a_i once,
+    and stops at settled elements, everything below those being settled.  They
+    settle by ascending coordinate sum, after all elements one atom below, as
+    ``memo[u] = rule(u, children)``: the pairs (i, memo[u - a_i]) over the
+    members u - a_i, nonnegative with a memo value other than None.  This is
+    the dynamic scheme of Barron, O'Neill and Pelayo (Math. Comp. 2017).
     """
-    spend = _Budget().spend
+    if gamma in memo:
+        return memo[gamma]
     spend()
-    seen = {gamma}
+    below = {gamma: []}
     queue = [gamma]
     while queue:
         current = queue.pop()
-        for atom in S.generators:
+        children = below[current]
+        for i, atom in enumerate(S.generators):
             child = vsub(current, atom)
-            if min(child) >= 0 and child not in seen and child not in memo:
-                spend()
-                seen.add(child)
-                queue.append(child)
-    return sorted(seen, key=lambda v: (sum(v), v))
+            if min(child) >= 0:
+                children.append((i, child))
+                if child not in below and child not in memo:
+                    spend()
+                    below[child] = []
+                    queue.append(child)
+    for u in sorted(below, key=lambda v: (sum(v), v)):
+        memo[u] = rule(u, [(i, value) for i, c in below[u] if (value := memo[c]) is not None])
+    return memo[gamma]
 
 
 def _is_decomposable(target: Vector, gens: list[Vector], plan: tuple) -> bool:

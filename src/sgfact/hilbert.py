@@ -455,7 +455,7 @@ def minimal_solutions(sys: DiophantineSystem) -> tuple[Vector, ...]:
 
 @functools.lru_cache(maxsize=16)
 def _homogenized_graver(S: AffineSemigroup) -> tuple[Vector, ...]:
-    """The Graver basis of ``homogenize(S)``: vectors (x_0, v) with x_0 = -|v|."""
+    """The Graver basis of ``homogenize(S)``: vectors (x_0, v) with x_0 = -sum(v) = |v-| - |v+|."""
     return primitive_kernel_vectors(homogenize(S).matrix)
 
 
@@ -466,7 +466,7 @@ def graver_basis(S: AffineSemigroup) -> tuple[tuple[Vector, Vector], ...]:
     larger side first), and together they are the disjoint-support part of the
     Hilbert basis of the doubled system (A | -A).
 
-    Each primitive v lifts to the primitive (-|v|, v) of ``homogenize(S)``, so
+    Each primitive v lifts to the primitive (|v-| - |v+|, v) of ``homogenize(S)``, so
     the plain basis is the conformally minimal part of the cached homogenized
     one with x_0 dropped; a cached completion spends no steps.
     """

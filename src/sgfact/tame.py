@@ -8,10 +8,11 @@ solutions of A x >= atom that avoid the atom, and for each, the shortest
 factorization of its value v that uses the atom.  That is one more than the
 shortest factorization of v - atom, since w -> w - e_i maps the factorizations
 of v through atom i one-to-one onto those of v - atom.  No fiber is enumerated
-for it: shortest lengths are settled bottom-up over the elements below v - atom,
-the min-length form of the dynamic algorithms of Barron, O'Neill and Pelayo
-("On dynamic algorithms for factorization invariants in numerical monoids",
-Math. Comp. 2017).
+for it: ``core._settle`` settles shortest lengths bottom-up over the elements
+below v - atom with :func:`_shortest` as the rule, the min-length form of the
+dynamic algorithms of Barron, O'Neill and Pelayo ("On dynamic algorithms for
+factorization invariants in numerical monoids", Math. Comp. 2017) by which
+the catenary trees of :mod:`~sgfact.catenary` settle too.
 
 The tame functions take a plain :class:`AffineSemigroup`, whose ``equations``
 field is the one record that it is full; without it they raise ``NotFullError``.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .core import AffineSemigroup, Vector, _descent_set, affine_semigroup, as_vector, value_of, vsub
+from .core import AffineSemigroup, Vector, _settle, affine_semigroup, as_vector, value_of, vsub
 from .errors import ConstructionError, NotFullError, NotInSemigroupError, _Budget
 from .hilbert import DiophantineSystem, Relation, diophantine_system, hilbert_basis, minimal_solutions
 
@@ -95,22 +96,18 @@ def minimals_principal_ideal(S: AffineSemigroup, gamma) -> tuple[Vector, ...]:
     return minimal_solutions(diophantine_system(S.matrix, Relation.GEQ, rhs=g))
 
 
-def _shortest(S: AffineSemigroup, gamma: Vector, shortest: dict[Vector, int]) -> int:
-    """The shortest factorization length l of a member gamma, settling first
-    every element below it not in ``shortest``.
+def _shortest(u: Vector, children: list[tuple[int, int]]) -> int:
+    """The shortest factorization length of u, 1 + min l(u - a_j) over the
+    members u - a_j one atom below it (the rule ``core._settle`` applies).
 
-    l(u) = 1 + min l(u - a_j) over the atoms a_j with u - a_j in S; u - a_j
-    satisfies the defining congruences whenever u does, so it is a member
-    exactly when it is nonnegative.  Elements are settled bottom-up over the
-    descent set of gamma, one step each.
+    u - a_j satisfies the defining congruences whenever u does, so it is a
+    member exactly when it is nonnegative; a nonzero u with none below is not.
     """
-    if gamma not in shortest:
-        for u in _descent_set(S, gamma, shortest):
-            below = [shortest[c] for a in S.generators if min(c := vsub(u, a)) >= 0]
-            if any(u) and not below:
-                raise NotFullError(f"the equations admit {u}, but no atom lies below it")
-            shortest[u] = 1 + min(below) if below else 0
-    return shortest[gamma]
+    if not children:
+        if any(u):
+            raise NotFullError(f"the equations admit {u}, but no atom lies below it")
+        return 0
+    return 1 + min(length for _, length in children)
 
 
 def _tame_i(S: AffineSemigroup, i: int, shortest: dict[Vector, int]) -> int:
@@ -122,7 +119,8 @@ def _tame_i(S: AffineSemigroup, i: int, shortest: dict[Vector, int]) -> int:
         if not z[i]:
             # minimality of z forces its support to be disjoint from every
             # factorization w through the atom, so dist(z, w) is max(|z|, |w|)
-            best = max(best, sum(z), 1 + _shortest(S, vsub(value_of(S, z), atom), shortest))
+            v = vsub(value_of(S, z), atom)
+            best = max(best, sum(z), 1 + _settle(S, v, shortest, _shortest, _Budget().spend))
     return best
 
 
@@ -135,7 +133,7 @@ def tame_i_full(S: AffineSemigroup, atom_index: int) -> int:
     already factors through the atom.  That shortest length is one more than
     the shortest factorization of v - atom, because w -> w - e_i is a
     bijection from the factorizations of v through the atom onto those of
-    v - atom; that one is settled by descent, l(u) = 1 + min l(u - a_j) over
+    v - atom; that one is settled bottom-up, l(u) = 1 + min l(u - a_j) over
     the atoms below u.  Under :func:`~sgfact.errors.step_limit` the frontier
     search and each descent count their own steps.
     """

@@ -315,6 +315,19 @@ class TestBudget:
         with step_limit(451):
             assert mwst(s_11_36_39, 450) == tree
 
+    def test_descent_counts_one_step_per_element(self, s_11_36_39):
+        # 450 - s for the 351 members s <= 450 of the semigroup, 450 itself
+        # included; a memo that holds 450 settles nothing
+        tree = mwst(s_11_36_39, 450)
+        with step_limit(351):
+            assert mwst(s_11_36_39, 450) == tree
+        with step_limit(350), pytest.raises(ResourceLimitError):
+            mwst(s_11_36_39, 450)
+        memo = {}
+        mwst(s_11_36_39, 450, memo)
+        with step_limit(0):
+            assert mwst(s_11_36_39, 450, memo) == tree
+
     def test_naive_counts_one_step_per_pair(self):
         # 22 factorizations, 231 pairs; the fiber search itself takes 32 steps
         s = affine_semigroup([3, 5, 7])

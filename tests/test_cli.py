@@ -206,6 +206,9 @@ class TestSuccess:
         (["hilbert", "--system", "{tmp}/bad.txt"], 2),
         # the group a block monoid lists counts one step per element
         (["block-monoid", "--moduli", "100000 100000", "--max-steps", "2000"], 4),
+        # only the commands that read a semigroup take the three source flags
+        (["block-monoid", "--moduli", "3", "--equations", "{tmp}/missing.json"], 2),
+        (["hilbert", "--system", "{tmp}/full.json", "--gens-file", "{tmp}/missing.txt"], 2),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):

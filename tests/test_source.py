@@ -63,3 +63,22 @@ def test_caches_are_bounded():
                         cached.append(f"{name}:{node.name}")
     assert not found, found
     assert sorted(cached) == ["hilbert.py:_homogenized_graver", "presentation.py:minimal_presentation"]
+
+
+def test_no_unused_imports():
+    # every name a module imports is read in that module, so a leftover import
+    # fails here as a linter would flag it; __init__ re-exports through __all__
+    found = []
+    for name, tree in _modules():
+        imported = {
+            alias.asname or alias.name.partition(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and [_name(t) for t in node.targets] == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        found += [f"{name}:{line}:{alias}" for alias, line in imported.items() if alias not in used]
+    assert not found, found
