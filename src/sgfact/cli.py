@@ -216,7 +216,7 @@ def _run_command(args) -> str:
             moduli = [int(tok) for tok in args.moduli.replace(",", " ").split()]
         except ValueError:
             raise _UsageError(f"malformed moduli {args.moduli!r}") from None
-        subset = [_parse_vector(p) for p in args.subset.split(";")] if args.subset else None
+        subset = [_parse_vector(p) for p in args.subset.split(";")] if args.subset is not None else None
         atoms = _tame.block_monoid(moduli, subset).generators
         payload = {"atoms": [list(a) for a in atoms], "moduli": moduli}
         lines = [_format_vector(a, False) for a in atoms]

@@ -63,8 +63,8 @@ def step_limit(n: int | None):
     after ``n`` steps of its own (``None``: no limit), like ``decimal.localcontext``.
 
     Every counting loop keeps its count in one :class:`_Budget`, the only
-    reader of the limit.  An answer served from one of the package's caches
-    (the homogenized Graver basis of a semigroup, its minimal presentation)
+    reader of the limit.  An answer served from one of the package's two
+    caches (the homogenized Graver basis and the toric ideal of a semigroup)
     runs no loop and so spends no steps; an aborted run caches nothing."""
     if n is not None and n < 0:
         raise ConstructionError(f"step limit must be nonnegative, got {n}")

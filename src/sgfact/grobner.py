@@ -22,7 +22,7 @@ each trailing term of a reduced basis.
 
 ``toric_ideal`` saturates a lattice ideal by every variable but the last,
 one revlex run each (the last would add nothing; see its docstring), then
-runs grlex once.
+runs grlex once, and caches the answer for each semigroup.
 
 Binomials are NOT normalized by cancelling a common monomial factor.  That
 cancellation is only sound for saturated (toric) ideals; the ascending-chain
@@ -32,6 +32,7 @@ but are not toric, and cancelling there can silently enlarge them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from enum import Enum
@@ -311,6 +312,7 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
     return BinomialIdealBasis(minimal, order)
 
 
+@functools.lru_cache(maxsize=16)
 def toric_ideal(S: AffineSemigroup) -> BinomialIdealBasis:
     """The reduced graded-lex Groebner basis of the defining ideal of the semigroup.
 
@@ -329,6 +331,10 @@ def toric_ideal(S: AffineSemigroup) -> BinomialIdealBasis:
     basis binomial that uses x_{k-1} is nonzero there (its sides have
     disjoint supports); if none uses it, x_{k-1} does not occur in J.
     ``delta_set_grobner`` relies on the final order, grlex, being graded.
+
+    Cached for the 16 most recent semigroups: a cached answer spends no steps
+    under :func:`~sgfact.errors.step_limit`, an aborted run caches nothing,
+    and the basis is shared, so no caller may add to it.
     """
     k = len(S.generators)
     weights = [sum(atom) for atom in S.generators]

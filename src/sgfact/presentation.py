@@ -1,17 +1,16 @@
 """Minimal presentations and Betti elements.
 
 A minimal presentation is assembled fiber by fiber: the candidate values are
-those of the members of the defining ideal's reduced Groebner basis, which
-include every Betti value.  Two factorizations of one value lie in the same
-R-class when a chain of factorizations, each sharing an atom with the next,
-joins them (Briales, Campillo, Marijuan and Pison, JPAA 1998).  One pass over
-the sorted fiber finds the classes from support bitmasks, bit i for atom i as
-in :mod:`~sgfact.catenary`; a fiber with c classes contributes c - 1 relations.
+those of the members of the defining ideal's reduced Groebner basis, the
+cached :func:`~sgfact.grobner.toric_ideal`, and include every Betti value.
+Two factorizations of one value lie in the same R-class when a chain of
+factorizations, each sharing an atom with the next, joins them (Briales,
+Campillo, Marijuan and Pison, JPAA 1998).  One pass over the sorted fiber
+finds the classes from support bitmasks, bit i for atom i as in
+:mod:`~sgfact.catenary`; a fiber with c classes contributes c - 1 relations.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .core import AffineSemigroup, Vector, factorizations, value_of
 from .grobner import toric_ideal
@@ -45,17 +44,13 @@ def _class_minima(fiber: tuple[Vector, ...]) -> list[Vector]:
     return sorted(least for _, least in classes)
 
 
-@functools.lru_cache(maxsize=16)
 def minimal_presentation(S: AffineSemigroup) -> tuple[Pair, ...]:
     """An irredundant generating set of the kernel congruence of the semigroup.
 
     Presentations are not unique; this one is canonical: at every Betti value
     the relations form a star to the lexicographically least factorization
     from the least member of each other R-class.  Each pair has its larger
-    side first, and the pairs are sorted.  The presentations of the 16 most
-    recent semigroups are kept, so :func:`betti_elements` reuses one; an
-    answer from the cache spends no steps under
-    :func:`~sgfact.errors.step_limit`.
+    side first, and the pairs are sorted.
     """
     relations: list[Pair] = []
     for value in _betti_candidates(S):
@@ -67,7 +62,6 @@ def minimal_presentation(S: AffineSemigroup) -> tuple[Pair, ...]:
 def betti_elements(S: AffineSemigroup) -> tuple[Vector, ...]:
     """Values of the relations in a minimal presentation (independent of the choice).
 
-    Read off the cached :func:`minimal_presentation`, so asking for both
-    builds the presentation once.
+    Read off :func:`minimal_presentation`; both read the cached toric ideal.
     """
     return tuple(sorted({value_of(S, z) for z, _ in minimal_presentation(S)}))

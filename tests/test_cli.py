@@ -110,6 +110,11 @@ class TestSuccess:
             '{"atoms":[[0,3],[1,1],[3,0]],"moduli":[3]}\n',
         )
 
+    def test_block_monoid_subset(self):
+        # zero-sum sequences over {(1,0), (0,1), (1,1)} in Z_2 x Z_2
+        argv = ["block-monoid", "--moduli", "2 2", "--subset", "(1,0);(0,1);(1,1)"]
+        assert run(argv) == (0, "(0,0,2)\n(0,2,0)\n(1,1,1)\n(2,0,0)\n")
+
     def test_hilbert(self, tmp_path):
         path = tmp_path / "system.json"
         path.write_text(json.dumps({"matrix": [[1, 1, -2]]}))
@@ -209,6 +214,27 @@ class TestSuccess:
         # only the commands that read a semigroup take the three source flags
         (["block-monoid", "--moduli", "3", "--equations", "{tmp}/missing.json"], 2),
         (["hilbert", "--system", "{tmp}/full.json", "--gens-file", "{tmp}/missing.txt"], 2),
+        # a subset that is empty, repeats an element, holds zero, leaves the
+        # group's range or has the wrong length
+        (["block-monoid", "--moduli", "3", "--subset", ""], 2),
+        (["block-monoid", "--moduli", "3", "--subset", "(1);(1)"], 2),
+        (["block-monoid", "--moduli", "3", "--subset", "(0)"], 2),
+        (["block-monoid", "--moduli", "3", "--subset", "(3)"], 2),
+        (["block-monoid", "--moduli", "3 3", "--subset", "(1)"], 2),
+        # a file that is not JSON, a JSON array, and objects missing a key
+        (["hilbert", "--system", "{tmp}/gens.txt"], 2),
+        (["tame", "--equations", "{tmp}/array.json"], 2),
+        (["tame", "--equations", "{tmp}/no_moduli.json"], 2),
+        (["hilbert", "--system", "{tmp}/no_matrix.json"], 2),
+        # malformed elements and generator lists
+        (["factorizations", "--gens", "3 4 5", "--element", "(1,x)"], 2),
+        (["factorizations", "--gens", "3 4 5", "--element", "x"], 2),
+        (["betti", "--gens", " "], 2),
+        (["betti", "--gens", "3 x"], 2),
+        (["catenary-range", "--gens", "3 5", "--bound", "-1"], 2),
+        # a negative element is no member, by either catenary route
+        (["catenary", "--gens", "3 5", "--element", "-1", "--method", "dynamic"], 3),
+        (["catenary", "--gens", "3 5", "--element", "-1", "--method", "naive"], 3),
     ],
 )
 def test_error_exit_codes(argv, code, capsys, tmp_path):
@@ -224,6 +250,9 @@ def test_error_exit_codes(argv, code, capsys, tmp_path):
         "full": {"matrix": [[1, -1, 0], [0, 1, -1]], "moduli": [2, 3]},
         "no_columns_eq": {"matrix": [[]], "rhs": [5]},
         "no_columns_geq": {"matrix": [[]], "relation": "geq", "rhs": [5]},
+        "array": [[1, 2]],
+        "no_moduli": {"matrix": [[1, 2]]},
+        "no_matrix": {"relation": "eq"},
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from sgfact import ConstructionError, affine_semigroup, graver_basis, step_limit
-from sgfact.delta import _gap_buckets
+from sgfact import ConstructionError, ResourceLimitError, affine_semigroup, graver_basis, step_limit
+from sgfact.delta import _gap_buckets, delta_set_grobner
 from sgfact.grobner import (
     ZERO,
     Binomial,
@@ -18,6 +18,7 @@ from sgfact.grobner import (
     spair,
     toric_ideal,
 )
+from sgfact.presentation import betti_elements, minimal_presentation
 
 from oracles import random_affine_semigroup, reference_groebner
 
@@ -271,6 +272,42 @@ class TestToricIdeal:
                 for i in range(s.dim)
             ]
             assert plus_value == minus_value
+
+
+class TestToricIdealCache:
+    """One toric-ideal run per semigroup feeds presentations, Betti elements and the lex delta route."""
+
+    S = affine_semigroup([17, 33, 53, 71])
+
+    def test_warm_call_spends_no_steps(self):
+        basis = toric_ideal(self.S)
+        with step_limit(0):
+            assert toric_ideal(self.S) == basis
+
+    def test_aborted_run_caches_nothing(self):
+        with pytest.raises(ResourceLimitError), step_limit(1):
+            toric_ideal(affine_semigroup(WIDE))
+        assert toric_ideal.cache_info().currsize == 0
+
+    def test_one_run_feeds_every_reader(self):
+        minimal_presentation(self.S)
+        misses = toric_ideal.cache_info().misses
+        betti_elements(self.S)
+        delta_set_grobner(self.S)
+        assert toric_ideal.cache_info().misses == misses == 1
+
+    def test_extending_leaves_the_cached_basis(self):
+        # the cached basis is shared, so an extension must copy it
+        basis = toric_ideal(self.S)
+        order = basis.order
+        grown = buchberger_extend(basis, [binomial((1, 0, 0, 0), (0, 1, 0, 0), order)])
+        assert len(grown.members) > len(basis.members)
+        assert toric_ideal(self.S) == toric_ideal.__wrapped__(self.S)
+
+    def test_cache_is_bounded(self):
+        for a in range(2, 22):  # 20 distinct semigroups <a, a+1>
+            toric_ideal(affine_semigroup([a, a + 1]))
+        assert toric_ideal.cache_info().currsize <= 16
 
 
 def _random_ideal(rng):

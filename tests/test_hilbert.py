@@ -116,6 +116,21 @@ class TestHilbertBasis:
         with pytest.raises(ConstructionError):
             diophantine_system([(1, -1)], **extra)
 
+    @pytest.mark.parametrize(
+        "matrix, extra, message",
+        [
+            ([(1, 2), (1,)], {}, "ragged"),
+            ([(1, -1)], {"rhs": [1, 2]}, "right-hand side length"),
+            ([(1, 2)], {"relation": Relation.GEQ, "moduli": [3]}, "mutually exclusive"),
+            ([(1, 2)], {"moduli": [3, 3]}, "one modulus per row"),
+            ([(1, 2)], {"moduli": [-3]}, "nonnegative"),
+            ([(1, 2)], {"moduli": [3], "rhs": [1]}, "zero right-hand side"),
+        ],
+    )
+    def test_rejects_malformed_systems(self, matrix, extra, message):
+        with pytest.raises(ConstructionError, match=message):
+            diophantine_system(matrix, **extra)
+
 
 class TestSatisfiedBy:
     @pytest.mark.parametrize(

@@ -1,7 +1,15 @@
 import ast
+import importlib
 from pathlib import Path
 
 import sgfact
+from sgfact.grobner import toric_ideal
+
+from conftest import pytest_runtest_setup
+
+# the package's caches, each the output of one engine: the Graver completion
+# of the homogenized semigroup and the reduced grlex basis of the toric ideal
+CACHES = ["grobner.py:toric_ideal", "hilbert.py:_homogenized_graver"]
 
 
 def _modules() -> list[tuple[str, ast.Module]]:
@@ -45,7 +53,7 @@ def test_one_budget():
 
 def test_caches_are_bounded():
     # a cache keeps a fixed number of answers: every one is an lru_cache
-    # called with a literal integer maxsize, and these two are all there is
+    # called with a literal integer maxsize, and CACHES are all there is
     cached, found = [], []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -62,7 +70,42 @@ def test_caches_are_bounded():
                     elif isinstance(deco, ast.Call) and _name(deco.func) == "lru_cache":
                         cached.append(f"{name}:{node.name}")
     assert not found, found
-    assert sorted(cached) == ["hilbert.py:_homogenized_graver", "presentation.py:minimal_presentation"]
+    assert sorted(cached) == CACHES
+
+
+def test_every_test_starts_with_cold_caches():
+    # conftest finds the caches itself; it must clear each one pinned above
+    caches = [
+        getattr(importlib.import_module(f"sgfact.{path.removesuffix('.py')}"), fn)
+        for path, fn in (entry.split(":") for entry in CACHES)
+    ]
+    s = sgfact.affine_semigroup([3, 4, 5])
+    sgfact.graver_basis(s)
+    toric_ideal(s)
+    assert all(cache.cache_info().currsize for cache in caches)
+    pytest_runtest_setup(None)
+    assert not any(cache.cache_info().currsize for cache in caches)
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps the functions it lists in TRACED by name and
+    # reports a missing one as untraced, its per-layer rows then reading 0; the
+    # list is read from the source, so nothing under bench/ is imported
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [_name(t) for t in node.targets] == ["TRACED"]
+    ]
+    names = [(module, fn) for module, fns in traced.items() for fn in fns]
+    assert ("grobner", "toric_ideal") in names
+    missing = [
+        f"{module}.{fn}"
+        for module, fn in names
+        if not callable(getattr(importlib.import_module(f"sgfact.{module}"), fn, None))
+    ]
+    assert not missing, missing
 
 
 def test_no_unused_imports():
