@@ -76,9 +76,10 @@ def _unpack(code: int, k: int) -> Vector:
 
 
 def _kruskal(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Spanning-tree edges over vertices 0..n-1, admitted in the given (already sorted) order."""
+    """Spanning-tree edges over vertices 0..n-1, admitted in the given (already sorted) order.
+    Admission never depends on which root becomes the parent, and path halving alone keeps
+    the finds short, so the union keeps no sizes."""
     parent = list(range(n))
-    size = [1] * n
     admitted: list[tuple[int, int, int]] = []
     needed = n - 1
     for edge in edges:
@@ -89,10 +90,7 @@ def _kruskal(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, int, 
             parent[b] = b = parent[parent[b]]
         if a == b:
             continue
-        if size[a] < size[b]:
-            a, b = b, a
         parent[b] = a
-        size[a] += size[b]
         admitted.append(edge)
         if len(admitted) == needed:
             break
@@ -107,15 +105,13 @@ def catenary_naive(S: AffineSemigroup, gamma: int | Vector) -> int:
     fiber = factorizations(S, gamma)
     if not fiber:
         raise NotInSemigroupError(f"{gamma} has no factorization")
-    if len(fiber) == 1:
-        return 0
     _Budget().spend(len(fiber) * (len(fiber) - 1) // 2)
     edges = sorted(
         (dist(fiber[i], fiber[j]), i, j)
         for i in range(len(fiber))
         for j in range(i + 1, len(fiber))
     )
-    return _kruskal(len(fiber), edges)[-1][0]
+    return _bottleneck(_kruskal(len(fiber), edges))
 
 
 def _disjoint_pairs(lengths: list[int], masks: list[int], k: int) -> list[tuple[int, int, int]]:

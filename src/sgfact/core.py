@@ -12,7 +12,8 @@ of residues already known to leave nothing, from one memo per plan.  The last
 two atoms are not searched but solved in closed form, so a two-atom fiber
 costs one node however large its element.  Under
 :func:`~sgfact.errors.step_limit` the search counts one step per node and one
-per factorization that closed form emits.
+per factorization that closed form emits.  The catenary trees and the tame
+degree's shortest lengths take the bottom-up route of :func:`_settle` instead.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def _settle(S: AffineSemigroup, gamma: Vector, memo: dict, rule: Callable, spend
                     spend()
                     below[child] = []
                     queue.append(child)
-    for u in sorted(below, key=lambda v: (sum(v), v)):
+    for u in sorted(below, key=sum):
         memo[u] = rule(u, [(i, value) for i, c in below[u] if (value := memo[c]) is not None])
     return memo[gamma]
 
@@ -193,15 +194,6 @@ def _is_decomposable(target: Vector, gens: list[Vector], plan: tuple) -> bool:
         if any(rest) and _search(plan, rest, first=True):
             return True
     return False
-
-
-def _coordinate_bound(atom: Vector, gamma: Vector) -> int:
-    bound: int | None = None
-    for a, g in zip(atom, gamma):
-        if a:
-            q = g // a
-            bound = q if bound is None else min(bound, q)
-    return bound if bound is not None else 0
 
 
 def _dfs_plan(
@@ -333,7 +325,7 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
             return
         if not _suffix_feasible(rem, suffix[j]):
             return
-        top = _coordinate_bound(atom, rem)
+        top = min([r // a for r, a in zip(rem, atom) if a])  # atoms are nonzero
         low = tuple([r - top * a for r, a in zip(rem, atom)]) if top else rem
         lines = dead[j]
         found = len(out)

@@ -303,12 +303,11 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
             reduced.add(b)
     minimal = reduced.members
     # no other leading term divides a member's own, and its own divides no
-    # smaller term, so only the trailing term is rewritten and the row stays
-    # valid.  The input is a Groebner basis, so one pass leaves every member
-    # with the canonical, fully reduced trailing term
+    # smaller term, so only the trailing term is rewritten: each row stays
+    # valid and keeps its place, the leading terms being distinct and sorted.
+    # The input is a Groebner basis, so one pass fully reduces every trailing term
     for i, b in enumerate(minimal):
         minimal[i] = Binomial(b.plus, reduced.reduce(b.minus))
-    minimal.sort(key=lambda b: (order.key(b.plus), order.key(b.minus)))
     return BinomialIdealBasis(minimal, order)
 
 

@@ -205,8 +205,6 @@ class _KernelStore:
         and each reducer is subtracted as often as it fits.
         """
         head = s[: self.width]
-        if not any(head):
-            return s
         for idx in self.fitting(s):
             g = self.tuples[idx]
             k = _multiple(g, head)
@@ -447,7 +445,7 @@ def minimal_solutions(sys: DiophantineSystem) -> tuple[Vector, ...]:
         caps = np.full(sys.ncols + 1, np.iinfo(np.int64).max, dtype=np.int64)
         caps[-1] = 1
         pinned = _minimal_nonneg_solutions(extended, np.zeros_like(b), False, caps=caps)
-        return tuple(sorted(v[:-1] for v in pinned if v[-1] == 1))
+        return tuple(v[:-1] for v in pinned if v[-1] == 1)
     if any(c < 0 for row in sys.matrix for c in row):
         raise ConstructionError("GEQ systems require nonnegative matrix entries")
     return tuple(_minimal_nonneg_solutions(mat, b, True))

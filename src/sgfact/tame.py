@@ -25,7 +25,7 @@ from math import prod
 
 from .core import AffineSemigroup, Vector, _settle, affine_semigroup, as_vector, value_of, vsub
 from .errors import ConstructionError, NotFullError, NotInSemigroupError, _Budget
-from .hilbert import DiophantineSystem, Relation, diophantine_system, hilbert_basis, minimal_solutions
+from .hilbert import Relation, diophantine_system, hilbert_basis, minimal_solutions
 
 
 def full_semigroup(matrix, moduli) -> AffineSemigroup:
@@ -50,17 +50,15 @@ def full_semigroup(matrix, moduli) -> AffineSemigroup:
 def block_monoid(moduli, subset=None) -> AffineSemigroup:
     """Zero-sum sequences over a subset of Z_m1 x ... x Z_mr, as a full semigroup.
 
-    ``subset`` defaults to every nonzero group element (sorted); it may not
-    contain zero or duplicates.
+    ``subset`` defaults to every nonzero group element, sorted as ``product``
+    yields them; it may not contain zero or duplicates.
     """
     mods = as_vector(moduli)
     if not mods or any(m < 2 for m in mods):
         raise ConstructionError("block monoids need moduli >= 2")
     if subset is None:
         _Budget().spend(prod(mods))  # one step per group element listed
-        elements = sorted(
-            g for g in product(*(range(m) for m in mods)) if any(g)
-        )
+        elements = [g for g in product(*(range(m) for m in mods)) if any(g)]
     else:
         elements = [as_vector(g) for g in subset]
         if len(set(elements)) != len(elements):
@@ -75,21 +73,16 @@ def block_monoid(moduli, subset=None) -> AffineSemigroup:
     return full_semigroup(rows, mods)
 
 
-def _congruences(S: AffineSemigroup) -> DiophantineSystem:
-    if S.equations is None:
-        raise NotFullError("the tame degree needs a full semigroup (defining congruences)")
-    return S.equations
-
-
 def minimals_principal_ideal(S: AffineSemigroup, gamma) -> tuple[Vector, ...]:
     """Minimal factorization vectors of the shifted ideal gamma + S.
 
-    For a full semigroup these are exactly the minimal x with A x >= gamma
-    componentwise, A the atom matrix.
+    For a full semigroup, the minimal x with A x >= gamma componentwise, A
+    the atom matrix; one without defining congruences raises ``NotFullError``.
     """
-    system = _congruences(S)
+    if S.equations is None:
+        raise NotFullError("the tame degree needs a full semigroup (defining congruences)")
     g = as_vector(gamma, S.dim)
-    if any(c < 0 for c in g) or not system.satisfied_by(g):
+    if any(c < 0 for c in g) or not S.equations.satisfied_by(g):
         raise NotInSemigroupError(f"{gamma} is not in the semigroup")
     if not any(g):
         return ((0,) * len(S.generators),)

@@ -284,6 +284,21 @@ class TestRange:
             assert value == catenary_dynamic(s, gamma, memo)
             assert value == catenary_naive(s, gamma)
 
+    def test_sweep_holds_one_window_of_trees(self, monkeypatch):
+        # each element recalls trees at most max(atom) below it, and the sweep
+        # drops older ones: 14 entries for <7,10,13> to 300, not 301
+        held, original = [], catenary._settle
+
+        def settle(S, gamma, memo, rule, spend):
+            tree = original(S, gamma, memo, rule, spend)
+            held.append(len(memo))
+            return tree
+
+        monkeypatch.setattr(catenary, "_settle", settle)
+        catenary_range(affine_semigroup([7, 10, 13]), 300)
+        assert len(held) == 301
+        assert max(held) <= 13 + 1
+
     @given(st.lists(st.integers(2, 40), min_size=2, max_size=5, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_matches_naive_at_every_member(self, atoms):

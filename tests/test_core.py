@@ -296,6 +296,23 @@ class TestBudget:
         with step_limit(3), pytest.raises(ResourceLimitError):
             factorizations(s, (12, 12))
 
+    @pytest.mark.parametrize(
+        "gens, gamma",
+        [
+            ([(0, 2, 2), (0, 2, 8), (0, 6, 2), (0, 10, 4), (1, 0, 0)], (0, 101, 70)),
+            ([(0, 2, 2), (0, 2, 8), (0, 6, 2), (0, 10, 4), (1, 0, 0)], (0, 3001, 2000)),
+            ([*range(20, 40, 2), 1001], 999),
+        ],
+    )
+    def test_suffix_gcds_end_the_search_at_the_root(self, gens, gamma):
+        # the atoms gamma could use have an even gcd in some coordinate where
+        # gamma is odd, so the root node is the whole search; without the gcd
+        # test the first takes 681 steps, the second 1,032,168, the third 3,169
+        s = affine_semigroup(gens)
+        with step_limit(1):
+            assert not contains(s, gamma)
+            assert factorizations(s, gamma) == ()
+
     def test_large_enough_limit_gives_unlimited_output(self):
         s = affine_semigroup([11, 36, 39])
         fiber = factorizations(s, 450)

@@ -125,3 +125,35 @@ def test_no_unused_imports():
                 used.update(ast.literal_eval(node.value))
         found += [f"{name}:{line}:{alias}" for alias, line in imported.items() if alias not in used]
     assert not found, found
+
+
+def test_every_private_name_is_used():
+    # a module-level private function, class or assignment that nothing else
+    # in the package reads is dead code, such as a helper whose one caller was
+    # inlined; a reference inside its own definition does not count
+    modules = _modules()
+    references = [
+        (name, node)
+        for name, tree in modules
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias)
+        or isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    found = []
+    for name, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__") and not any(
+                    _name(ref) == private and not (where == name and id(ref) in inside)
+                    for where, ref in references
+                ):
+                    found.append(f"{name}:{node.lineno}:{private}")
+    assert not found, found
