@@ -9,12 +9,12 @@ set sorted.
 
 ``--max-steps N`` runs the whole command under ``step_limit(N)``: every
 counting loop it starts (each factorization search, one step per node and
-one per factorization its closed-form two-atom tail emits, the semigroup's
-construction included; the Graver queue pops, summed over every lift stage;
-the Hilbert frontier search; the group elements a block monoid lists; each
-Buchberger run; the catenary trees and the tame degree's shortest lengths,
-settled one element at a time; the naive catenary degree, one step per pair
-of factorizations) aborts after N steps of its own.
+one per factorization its closed-form two-atom tail emits, construction
+running one per generator after the first; the Graver queue pops, summed
+over every lift stage; the Hilbert frontier search; the group elements a
+block monoid lists; each Buchberger run; the catenary trees and the tame
+degree's shortest lengths, settled one element at a time; the naive catenary
+degree, one step per pair of factorizations) aborts after N steps of its own.
 
 Exit codes: 0 success (``-h``/``--help`` included, with the usage as the
 output), 2 parse/validation error (a negative ``--max-steps`` included), 3
@@ -164,10 +164,10 @@ def _add_common(parser: _Parser, source: bool) -> None:
         "--max-steps",
         type=int,
         default=None,
-        help="abort any counting loop after N steps: nodes of one factorization search "
-        "plus the factorizations its two-atom tail emits, Graver queue pops summed over all "
-        "lift stages, Hilbert frontier rows, group elements a block monoid lists, S-pairs that "
-        "survive the pair criteria in one Buchberger run, elements whose catenary tree or "
+        help="abort any counting loop after N steps: nodes of one factorization search (construction runs one "
+        "per generator after the first) plus the factorizations its two-atom tail emits, Graver queue "
+        "pops summed over all lift stages, Hilbert frontier rows, group elements a block monoid lists, "
+        "S-pairs that survive the pair criteria in one Buchberger run, elements whose catenary tree or "
         "shortest length is settled, or pairs of factorizations the naive catenary degree weighs",
     )
 

@@ -8,7 +8,7 @@ One depth-first search over the atoms answers every element query in any
 dimension (see :func:`_dfs_plan`): it enumerates the factorizations for
 :func:`factorizations` and stops at the first for :func:`contains` and for the
 atom minimalization of :func:`affine_semigroup`.  Both modes skip the lines
-of residues already known to leave nothing, from one memo per plan.  The last
+of residues already known to leave nothing, from one memo per search.  The last
 two atoms are not searched but solved in closed form, so a two-atom fiber
 costs one node however large its element.  Under
 :func:`~sgfact.errors.step_limit` the search counts one step per node and one
@@ -121,10 +121,12 @@ class AffineSemigroup:
 def affine_semigroup(generators: Iterable[int | Sequence[int]]) -> AffineSemigroup:
     """Build a semigroup, reducing the input to its minimal generating set.
 
-    Any generator expressible over the others is discarded; surviving atoms
-    are stored in sorted order.  Raises :class:`ConstructionError` for empty
-    input, mixed dimensions, negative or out-of-range coordinates, or a zero
-    vector.
+    Each distinct generator v, in lexicographic order, is kept unless the
+    atoms kept before it generate it: if v = u + w with w nonzero, u lies
+    componentwise below v and so comes first.  Under :func:`~sgfact.errors.step_limit`
+    each generator after the first is one counting loop, the search for v.
+    Raises :class:`ConstructionError` for empty input, mixed dimensions,
+    negative or out-of-range coordinates, or a zero vector.
     """
     vecs = [as_vector(g) for g in generators]
     if not vecs:
@@ -137,10 +139,11 @@ def affine_semigroup(generators: Iterable[int | Sequence[int]]) -> AffineSemigro
             raise ConstructionError(f"negative coordinate in generator {v}")
         if not any(v):
             raise ConstructionError("the zero vector cannot be a generator")
-    vecs = sorted(set(vecs))
-    plan = _dfs_plan(vecs)
-    atoms = tuple(v for v in vecs if not _is_decomposable(v, vecs, plan))
-    return AffineSemigroup(dim, atoms)
+    atoms: list[Vector] = []
+    for v in sorted(set(vecs)):
+        if not (atoms and _search(_dfs_plan(atoms), v, first=True)):
+            atoms.append(v)
+    return AffineSemigroup(dim, tuple(atoms))
 
 
 def homogenize(S: AffineSemigroup) -> AffineSemigroup:
@@ -185,32 +188,21 @@ def _settle(S: AffineSemigroup, gamma: Vector, memo: dict, rule: Callable, spend
     return memo[gamma]
 
 
-def _is_decomposable(target: Vector, gens: list[Vector], plan: tuple) -> bool:
-    # target is a non-atom of <gens> iff it has a factorization of length >= 2,
-    # i.e. target - g is a nonzero member for some generator g.  This test over
-    # the full list is order-independent, so one pass minimalizes the input.
-    for g in gens:
-        rest = vsub(target, g)
-        if any(rest) and _search(plan, rest, first=True):
-            return True
-    return False
-
-
 def _dfs_plan(
     atoms: Sequence[Vector],
-) -> tuple[list[int], list[Vector], list[int], list[Vector], list[dict], tuple[int, int, int] | None]:
-    """Search order, weights, suffix row gcds, a memo of dead lines and a minor for the DFS.
+) -> tuple[tuple[int, ...], tuple[Vector, ...], tuple[int, ...], tuple[Vector, ...], tuple[int, int, int] | None]:
+    """Search order, weights, suffix row gcds and a minor for the DFS, all fixed by the atoms.
 
     Heavy atoms (by coordinate sum, the weight) first: an atom with small
     support explored early has a huge branching factor; explored last, its
     multiplicity is forced.  A residue skips the atoms heavier than itself,
     and its branch ends unless some length L has L * lightest <= weight <=
     L * heaviest left and the suffix row gcds divide it.  Every search,
-    enumerating or stopping at the first factorization, records per
-    position j and line ``low + t*atom_j`` (``low`` lowest in N^dim) the
-    largest t up to which every t leaves nothing, and starts past it next
-    time.  A search that stops at the first factorization thus walks each
-    line once per plan, as a sieve walks each value once in dimension one.
+    enumerating or stopping at the first factorization, records in its own
+    memo, per position j and line ``low + t*atom_j`` (``low`` lowest in
+    N^dim), the largest t up to which every t leaves nothing, and starts past
+    it next time.  So a stop-at-first search walks each line once per search,
+    as a sieve walks each value once in dimension one.
 
     The last two planned atoms a and b are solved, not searched.  The minor
     ``(p, q, a_p*b_q - a_q*b_p)``, with p the first row where a is nonzero,
@@ -219,8 +211,8 @@ def _dfs_plan(
     then vanishes; c*a + d*b == rem is then solved on the weights by the
     extended gcd.
     """
-    order = sorted(range(len(atoms)), key=lambda j: (-sum(atoms[j]), atoms[j]))
-    arranged = [atoms[j] for j in order]
+    order = tuple(sorted(range(len(atoms)), key=lambda j: (-sum(atoms[j]), atoms[j])))
+    arranged = tuple(atoms[j] for j in order)
     suffix: list[Vector] = [(0,) * len(atoms[0])]
     for atom in reversed(arranged):
         suffix.append(tuple(map(gcd, atom, suffix[-1])))
@@ -231,7 +223,7 @@ def _dfs_plan(
         p = next(i for i, x in enumerate(a) if x)
         dets = ((q, a[p] * b[q] - a[q] * b[p]) for q in range(len(a)))
         minor = next(((p, q, det) for q, det in dets if det), None)
-    return order, arranged, [sum(atom) for atom in arranged], suffix, [{} for _ in arranged], minor
+    return order, arranged, tuple(sum(atom) for atom in arranged), tuple(suffix), minor
 
 
 def _suffix_feasible(rem: Vector, suffix_gcd: Vector) -> bool:
@@ -257,8 +249,9 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
     if any(c < 0 for c in gamma):
         return []
     spend = _Budget().spend
-    order, arranged, weights, suffix, dead, minor = plan
+    order, arranged, weights, suffix, minor = plan
     k = len(arranged)
+    dead: list[dict] = [{} for _ in arranged]
     lightest = weights[-1]
     out: list[Vector] = []
     coeffs = [0] * k

@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from .core import AffineSemigroup
 from .errors import ConstructionError
-from .grobner import (
-    BinomialIdealBasis,
-    TermOrder,
-    binomial,
-    buchberger_extend,
-    reduce_basis,
-    toric_ideal,
-)
+from .grobner import BinomialIdealBasis, TermOrder, binomial, buchberger, buchberger_extend, reduce_basis, toric_ideal
 from .hilbert import _homogenized_graver, vsplit
 
 
@@ -96,8 +89,7 @@ def _homogenized_binomials(S: AffineSemigroup, order: TermOrder) -> list:
 def _lex_delta_basis(S: AffineSemigroup) -> BinomialIdealBasis:
     """The reduced lex basis, x_0 greatest, of the toric ideal of ``homogenize(S)``."""
     order = TermOrder.lex(len(S.generators) + 1)
-    empty = BinomialIdealBasis((), order)
-    return reduce_basis(buchberger_extend(empty, _homogenized_binomials(S, order)))
+    return reduce_basis(buchberger(_homogenized_binomials(S, order), order))
 
 
 def delta_set_grobner(S: AffineSemigroup) -> tuple[int, ...]:

@@ -18,6 +18,7 @@ from sgfact import catenary
 from sgfact.catenary import (
     _W,
     WeightedTree,
+    _disjoint_pairs,
     _kruskal,
     _unpack,
     catenary_dynamic,
@@ -156,6 +157,22 @@ class TestTrees:
         assume(2 <= len(fiber) <= 150)
         target(len(fiber))  # steer towards large fibers
         assert mwst(s, gamma).edges == reference_spanning_tree(fiber)
+
+    def test_pairing_skips_factorizations_of_full_support(self):
+        # a factorization using every atom has no disjoint partner, and most
+        # vertices of a catenary sweep are such; the pairing reads no length
+        # of theirs: 3 reads here, 503 without the skip
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingList.reads += 1
+                return super().__getitem__(i)
+
+        lengths = CountingList([6] * 500 + [2, 3, 4])
+        edges = _disjoint_pairs(lengths, [0b111] * 500 + [0b001, 0b010, 0b110], 3)
+        assert edges == [(3, 500, 501), (4, 500, 502)]
+        assert CountingList.reads == 3
 
     def test_rejects_non_members(self):
         with pytest.raises(NotInSemigroupError):

@@ -20,7 +20,7 @@ from sgfact import (
     length_set,
     step_limit,
 )
-from sgfact.core import _dfs_plan, _search, value_of
+from sgfact.core import _dfs_plan, _search, vadd, value_of
 
 from oracles import (
     brute_factorizations,
@@ -29,6 +29,10 @@ from oracles import (
     numerical_atoms,
     numerical_members,
 )
+
+
+KERNEL_DIM_7 = [(0, 0, 2), (0, 1, 1), (0, 1, 2), (0, 2, 0), (1, 0, 1),
+                (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0)]
 
 
 class TestConstruction:
@@ -163,6 +167,27 @@ class TestConstruction:
         for gamma in ((x, y) for x in range(9) for y in range(9)):
             assert contains(s, gamma) == decomposes_over(gamma, atoms)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_affine_atoms_match_definition(self, data):
+        # construction keeps a generator unless the atoms before it in
+        # lexicographic order generate it; the appended multiple and sum of
+        # drawn generators are never atoms, the reversed one ties a drawn one
+        # in weight, and no input order may change the atoms
+        d = data.draw(st.integers(2, 3))
+        vector = st.tuples(*[st.integers(0, 5)] * d).filter(any)
+        drawn = data.draw(st.lists(vector, min_size=1, max_size=5))
+        pick = st.sampled_from(drawn)
+        u, v, w = data.draw(pick), data.draw(pick), data.draw(pick)
+        gens = drawn + [tuple(2 * x for x in u), vadd(v, w), w[::-1]]
+        shuffled = data.draw(st.permutations(gens))
+        with cpu_limit(5), step_limit(10_000):
+            s = affine_semigroup(shuffled)
+            assert affine_semigroup(gens) == s
+        distinct = sorted(set(gens))
+        atoms = [g for g in distinct if not decomposes_over(g, [h for h in distinct if h != g])]
+        assert s.generators == tuple(atoms)
+
 
 class TestMembership:
     def test_zero_always_contained(self):
@@ -255,14 +280,24 @@ class TestFactorizations:
         # enumerating search comes back to lines it has found to leave
         # nothing; a memo that records one point too many, or records past
         # a factorization, loses members of this fiber
-        s = affine_semigroup(
-            [(0, 0, 2), (0, 1, 1), (0, 1, 2), (0, 2, 0), (1, 0, 1),
-             (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0)]
-        )
+        s = affine_semigroup(KERNEL_DIM_7)
         gamma = (5, 2, 3)
+        # 143 steps; a memo that records nothing takes 146
+        with step_limit(143):
+            fiber = sorted(_search(_dfs_plan(s.generators), gamma))
+        assert fiber == brute_factorizations(s.generators, gamma)
+
+    def test_plan_is_a_value(self):
+        # a plan holds only what the atoms fix; the dead-line memo is each
+        # search's own, so no search, finished or stopped, changes the plan
+        s = affine_semigroup(KERNEL_DIM_7)
         plan = _dfs_plan(s.generators)
-        assert sorted(_search(plan, gamma)) == brute_factorizations(s.generators, gamma)
-        assert any(plan[4])  # the dead lines it recorded
+        assert hash(plan) == hash(_dfs_plan(list(s.generators)))
+        assert plan == _dfs_plan(list(s.generators))
+        assert _search(plan, (5, 2, 3))
+        with step_limit(100), pytest.raises(ResourceLimitError):
+            _search(plan, (9, 4, 6))
+        assert plan == _dfs_plan(s.generators)
 
 
 class TestBudget:
