@@ -6,13 +6,16 @@ catenary degree.  The dynamic route builds a minimum-weight spanning tree of
 every element from the trees of the elements one atom below it.  Every
 nonzero factorization of gamma lies in e_i + Z(gamma - a_i) for some atom i,
 and the shift by e_i preserves distances, so the shifted child trees cover
-the fiber.  An edge between two factorizations that share atom i lies in the
-shifted complete graph of that child, whose tree already joins its ends by a
-path no heavier (the cycle property).  So Kruskal needs only two edge sets:
-the shifted child trees, and the pairs of factorizations with disjoint
-supports.  Each element then costs one Kruskal pass over one sort of the
-concatenated edge lists: Timsort merges the presorted runs, and an edge two
-children share is skipped the second time, its ends being joined already.
+the fiber.  Each tree is the unique minimum spanning tree under the strict
+(weight, lower, upper) order.  An edge between factorizations that share atom
+i lies in the shifted complete graph of child i, whose tree holds it or joins
+its ends by a path of strictly earlier edges (the cycle property).  So Kruskal
+needs only the shifted child trees and the pairs with disjoint supports.  The
+children are walked in atom order, and what an earlier child covers is
+dropped: a tree edge whose ends share its atom, and a vertex that uses it,
+already supplied with the same length and support.  Each element then costs
+one Kruskal pass over one sort of the edge lists, in which Timsort merges
+the presorted runs.
 
 On this route a factorization z of k atoms is the int sum(z_i << W*(k-1-i)),
 W the bit length of ``core._INT_LIMIT``: the shift by e_i is one add, and
@@ -136,26 +139,31 @@ def _build_tree(k: int, element: Vector, children: list[tuple[int, Packed]]) -> 
     """Kruskal over the shifted child trees and the disjoint-support pairs.
 
     ``children`` holds (atom index, packed tree of the element minus that
-    atom) for every member one atom below.  With none, the element is a
-    non-member (None) unless it is zero, whose fiber is the zero vector, code 0.
+    atom) for every member one atom below, in ascending atom order; a child's
+    vertex that uses an earlier child's atom, or tree edge whose ends share
+    one, is dropped as covered.  With no children, the element is a non-member
+    (None) unless it is zero, whose fiber is the zero vector, code 0.
     """
     if not children:
         return None if any(element) else ([0], [0], [0], [])
-    shifted = [
-        ([v + (1 << (_W * (k - 1 - atom_index))) for v in tree[0]], 1 << atom_index, tree)
-        for atom_index, tree in children
-    ]
-    vertices = sorted({v for codes, _, _ in shifted for v in codes})
+    rows: list[tuple[int, int, int]] = []  # (code, length, mask) of each vertex, once
+    coded: list[tuple[int, int, int]] = []  # kept child edges as (weight, code, code)
+    earlier = 0  # the bits of the atoms already walked
+    for atom_index, (codes, child_lengths, child_masks, child_edges) in children:
+        shift, bit = 1 << (_W * (k - 1 - atom_index)), 1 << atom_index
+        child_rows = zip(codes, child_lengths, child_masks)
+        rows += [(v + shift, n + 1, m | bit) for v, n, m in child_rows if not m & earlier]
+        coded += [
+            (w, codes[a] + shift, codes[b] + shift)
+            for w, a, b in child_edges
+            if not child_masks[a] & child_masks[b] & earlier
+        ]
+        earlier |= bit
+    rows.sort()
+    vertices, lengths, masks = map(list, zip(*rows))
     index = {v: i for i, v in enumerate(vertices)}
-    lengths = [0] * len(vertices)
-    masks = [0] * len(vertices)
-    edges: list[tuple[int, int, int]] = []
-    for codes, bit, (_, child_lengths, child_masks, child_edges) in shifted:
-        position = [index[v] for v in codes]  # increasing: a shift keeps code order
-        for i, length, mask in zip(position, child_lengths, child_masks):
-            lengths[i] = length + 1
-            masks[i] = mask | bit
-        edges += [(w, position[a], position[b]) for w, a, b in child_edges]
+    # a shift keeps code order, so each child's run of index edges stays sorted
+    edges = [(w, index[a], index[b]) for w, a, b in coded]
     edges += _disjoint_pairs(lengths, masks, k)
     edges.sort()  # Timsort merges the presorted runs
     return vertices, lengths, masks, _kruskal(len(vertices), edges)

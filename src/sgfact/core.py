@@ -335,6 +335,8 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
         rec(0, gamma)
     except _Found:
         pass
+    finally:
+        rec = None  # break rec's cycle through its own cell: free the memo now, not at a collection
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from math import prod
@@ -298,6 +299,20 @@ class TestFactorizations:
         with step_limit(100), pytest.raises(ResourceLimitError):
             _search(plan, (9, 4, 6))
         assert plan == _dfs_plan(s.generators)
+
+    def test_search_leaves_no_reference_cycle(self):
+        # the nested search calls itself through its closure cell, a reference
+        # cycle; broken on return, the dead-line memo and the closures are freed
+        # at once, and the cyclic collector finds nothing (946 objects otherwise)
+        gc.collect()
+        gc.disable()
+        try:
+            s = affine_semigroup([17, 33, 53, 71])
+            factorizations(s, 2000)
+            contains(s, 2001)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBudget:
