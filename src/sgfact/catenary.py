@@ -10,12 +10,11 @@ the fiber.  Each tree is the unique minimum spanning tree under the strict
 (weight, lower, upper) order.  An edge between factorizations that share atom
 i lies in the shifted complete graph of child i, whose tree holds it or joins
 its ends by a path of strictly earlier edges (the cycle property).  So Kruskal
-needs only the shifted child trees and the pairs with disjoint supports.  The
-children are walked in atom order, and what an earlier child covers is
-dropped: a tree edge whose ends share its atom, and a vertex that uses it,
-already supplied with the same length and support.  Each element then costs
-one Kruskal pass over one sort of the edge lists, in which Timsort merges
-the presorted runs.
+needs only the shifted child trees and the pairs with disjoint supports.  A
+vertex of child i that uses an atom j < i, and a tree edge whose ends share
+j, are covered by child j (gamma - a_j is a member): child i keeps neither.
+Each element then costs one Kruskal pass over one sort of the edge lists, in
+which Timsort merges the presorted runs.
 
 On this route a factorization z of k atoms is the int sum(z_i << W*(k-1-i)),
 W the bit length of ``core._INT_LIMIT``: the shift by e_i is one add, and
@@ -26,9 +25,11 @@ or :func:`catenary_range` admits: no field carries into the next.  A packed
 tree is four lists: the sorted vertex codes, each vertex's length, each
 vertex's support bitmask, and the tree edges as (weight, i, j), i < j
 indices into the vertex list.  Index order is code order, so sorting index
-edges sorts them as the tuple edges would sort.  A shift by e_i adds one to
-each length and sets bit i of each mask, so :func:`_disjoint_pairs` decodes
-nothing, and Kruskal's union-find is a plain list over the indices.
+edges sorts them as the tuple edges would sort.  Child i keeps its codes
+below 1 << W*(k-i), a prefix, which shifted lie below those of every child of
+a smaller atom index.  A shift by e_i adds one to each length and sets bit i
+of each mask, so :func:`_disjoint_pairs` decodes nothing, and Kruskal's
+union-find is a plain list over the indices.
 Elements settle bottom-up through ``core._settle``, with :func:`_build_tree`
 as the rule.  The memo, a plain dict, maps an element to its packed tree, or
 to ``None`` for a non-member, a nonzero element with no member one atom
@@ -40,6 +41,7 @@ the sweep, where it can never be needed again.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 
@@ -139,28 +141,28 @@ def _build_tree(k: int, element: Vector, children: list[tuple[int, Packed]]) -> 
     """Kruskal over the shifted child trees and the disjoint-support pairs.
 
     ``children`` holds (atom index, packed tree of the element minus that
-    atom) for every member one atom below, in ascending atom order; a child's
-    vertex that uses an earlier child's atom, or tree edge whose ends share
-    one, is dropped as covered.  With no children, the element is a non-member
-    (None) unless it is zero, whose fiber is the zero vector, code 0.
+    atom) for every member one atom below, in ascending atom order; walked
+    downward, each child appends a prefix of its vertices in code order.  With
+    no children, the element is a non-member (None) unless it is zero, whose
+    fiber is the zero vector, code 0.
     """
     if not children:
         return None if any(element) else ([0], [0], [0], [])
-    rows: list[tuple[int, int, int]] = []  # (code, length, mask) of each vertex, once
+    vertices: list[int] = []
+    lengths: list[int] = []
+    masks: list[int] = []
     coded: list[tuple[int, int, int]] = []  # kept child edges as (weight, code, code)
-    earlier = 0  # the bits of the atoms already walked
-    for atom_index, (codes, child_lengths, child_masks, child_edges) in children:
+    for atom_index, (codes, child_lengths, child_masks, child_edges) in reversed(children):
         shift, bit = 1 << (_W * (k - 1 - atom_index)), 1 << atom_index
-        child_rows = zip(codes, child_lengths, child_masks)
-        rows += [(v + shift, n + 1, m | bit) for v, n, m in child_rows if not m & earlier]
+        fresh = bisect_left(codes, shift << _W)  # the codes that use no atom below atom_index
+        vertices += [v + shift for v in codes[:fresh]]
+        lengths += [n + 1 for n in child_lengths[:fresh]]
+        masks += [m | bit for m in child_masks[:fresh]]
         coded += [
             (w, codes[a] + shift, codes[b] + shift)
             for w, a, b in child_edges
-            if not child_masks[a] & child_masks[b] & earlier
+            if not child_masks[a] & child_masks[b] & (bit - 1)
         ]
-        earlier |= bit
-    rows.sort()
-    vertices, lengths, masks = map(list, zip(*rows))
     index = {v: i for i, v in enumerate(vertices)}
     # a shift keeps code order, so each child's run of index edges stays sorted
     edges = [(w, index[a], index[b]) for w, a, b in coded]

@@ -191,7 +191,7 @@ def _settle(S: AffineSemigroup, gamma: Vector, memo: dict, rule: Callable, spend
 def _dfs_plan(
     atoms: Sequence[Vector],
 ) -> tuple[tuple[int, ...], tuple[Vector, ...], tuple[int, ...], tuple[Vector, ...], tuple[int, int, int] | None]:
-    """Search order, weights, suffix row gcds and a minor for the DFS, all fixed by the atoms.
+    """For each search position its atom's slot (``order``), atom, weight and suffix gcds; a minor.
 
     Heavy atoms (by coordinate sum, the weight) first: an atom with small
     support explored early has a huge branching factor; explored last, its
@@ -257,16 +257,14 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
     coeffs = [0] * k
     if k >= 2:
         a, b = arranged[-2:]
+        slot_a, slot_b = order[-2:]
         wa, wb = weights[-2:]
         g = gcd(wa, wb)
         stride = wb // g
         inverse = pow(wa // g, -1, stride)
 
     def emit() -> None:
-        z = [0] * k
-        for pos, original in enumerate(order):
-            z[original] = coeffs[pos]
-        out.append(tuple(z))
+        out.append(tuple(coeffs))
         if first:
             raise _Found
 
@@ -289,10 +287,10 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
             return
         for c in range(c, top + 1, stride):
             spend()
-            coeffs[k - 2] = c
-            coeffs[k - 1] = (weight - c * wa) // wb
+            coeffs[slot_a] = c
+            coeffs[slot_b] = (weight - c * wa) // wb
             emit()
-        coeffs[k - 2] = coeffs[k - 1] = 0
+        coeffs[slot_a] = coeffs[slot_b] = 0
 
     def rec(j: int, rem: Vector) -> None:
         spend()
@@ -305,13 +303,13 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
             return
         while weights[j] > weight:  # atoms heavier than rem have multiplicity zero
             j += 1
-        atom = arranged[j]
+        atom, slot = arranged[j], order[j]
         if j == k - 1:  # rem == c * atom forces c = weight // lightest
             c = weight // lightest
             if rem == tuple([c * a for a in atom]):
-                coeffs[j] = c
+                coeffs[slot] = c
                 emit()
-                coeffs[j] = 0
+                coeffs[slot] = 0
             return
         if j == k - 2:
             tail(rem, weight)
@@ -325,11 +323,11 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
         # rem - c * atom == low + (top - c) * atom: skip the dead start of the line
         # (c == 0 leaves rem itself, top == 0 makes rem the lowest point)
         for c in range(top - lines.get(low, -1) - 1, -1, -1):
-            coeffs[j] = c
+            coeffs[slot] = c
             rec(j + 1, tuple([r - c * a for r, a in zip(rem, atom)]) if c else rem)
             if len(out) == found:
                 lines[low] = top - c
-        coeffs[j] = 0
+        coeffs[slot] = 0
 
     try:
         rec(0, gamma)

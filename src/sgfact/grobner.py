@@ -303,12 +303,11 @@ def reduce_basis(G: BinomialIdealBasis) -> BinomialIdealBasis:
             reduced.add(b)
     minimal = reduced.members
     # no other leading term divides a member's own, and its own divides no
-    # smaller term, so only the trailing term is rewritten: each row stays
-    # valid and keeps its place, the leading terms being distinct and sorted.
-    # The input is a Groebner basis, so one pass fully reduces every trailing term
+    # smaller term, so only trailing terms are rewritten and the rows of leading
+    # exponents stay; G being a Groebner basis, one pass fully reduces them
     for i, b in enumerate(minimal):
         minimal[i] = Binomial(b.plus, reduced.reduce(b.minus))
-    return BinomialIdealBasis(minimal, order)
+    return reduced
 
 
 @functools.lru_cache(maxsize=16)

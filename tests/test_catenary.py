@@ -12,6 +12,7 @@ from sgfact import (
     affine_semigroup,
     dist,
     factorizations,
+    length_set,
     step_limit,
 )
 from sgfact import catenary
@@ -265,6 +266,33 @@ class TestDynamic:
             gamma = value_of(s, z)
             assert catenary_dynamic(s, gamma, memo) == catenary_naive(s, gamma)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_length_set_brackets_the_catenary_degree(self, data):
+        # when |Z(n)| >= 2, 2 + max Delta(L(n)) <= c(n) <= max L(n) (Geroldinger
+        # and Halter-Koch, Non-Unique Factorizations, 2006, section 1.6).  Above:
+        # one step joins any z and w, at distance at most max(|z|, |w|).  Below:
+        # a chain from length l to the next length l + d has a step z -> w with
+        # |z| <= l < l + d <= |w|.  Cancel gcd(z, w) to z', w': then |w'| - |z'|
+        # >= d, and |z'| >= 2, as an atom has no other factorization, so the
+        # step is at least d + 2.  One memo serves every element of a case
+        d = data.draw(st.integers(1, 3))
+        vectors = st.tuples(*[st.integers(0, 30 if d == 1 else 5)] * d).filter(any)
+        # more atoms than dimensions, so that some fibers have two or more vertices
+        atoms = st.lists(vectors, min_size=d + 1, max_size=d + 3, unique=True)
+        s = affine_semigroup(data.draw(atoms))
+        counts = st.tuples(*[st.integers(0, 3)] * len(s.generators))
+        memo = {}
+        for z in data.draw(st.lists(counts, min_size=8, max_size=12)):
+            gamma = value_of(s, z)
+            with step_limit(100_000):
+                if len(factorizations(s, gamma)) < 2:
+                    continue
+                lengths = length_set(s, gamma)
+                degree = catenary_dynamic(s, gamma, memo)
+            widest = max((b - a for a, b in zip(lengths, lengths[1:])), default=0)
+            assert 2 + widest <= degree <= lengths[-1], (gamma, lengths)
+
 
 class TestRange:
     def test_free_numerical(self):
@@ -286,7 +314,7 @@ class TestRange:
         assert 1 not in entries  # gaps are skipped
 
     def test_sweep_to_1000_within_cpu_budget(self):
-        # the sweep takes 0.18 s of CPU time (minimum of 7 runs) on a shared
+        # the sweep takes 0.19 s of CPU time (minimum of 7 runs) on a shared
         # 2-core x86-64 host, where a union-find over dicts keyed by packed
         # ints took over 1 s
         s = affine_semigroup([7, 10, 13])
