@@ -7,10 +7,11 @@ to call concurrently on shared objects.
 One depth-first search over the atoms answers every element query in any
 dimension (see :func:`_dfs_plan`): it enumerates the factorizations for
 :func:`factorizations` and stops at the first for :func:`contains` and for the
-atom minimalization of :func:`affine_semigroup`.  Both modes skip the lines
-of residues already known to leave nothing, from one memo per search.  The last
-two atoms are not searched but solved in closed form, so a two-atom fiber
-costs one node however large its element.  Under
+atom minimalization of :func:`affine_semigroup`.  It keeps its own stack of
+open positions, so its depth is not limited by the recursion limit.  Both modes
+skip the lines of residues already known to leave nothing, from one memo per
+search.  The last two atoms are not searched but solved in closed form, so a
+two-atom fiber costs one node however large its element.  Under
 :func:`~sgfact.errors.step_limit` the search counts one step per node and one
 per factorization that closed form emits.  The catenary trees and the tame
 degree's shortest lengths take the bottom-up route of :func:`_settle` instead.
@@ -236,15 +237,12 @@ def _suffix_feasible(rem: Vector, suffix_gcd: Vector) -> bool:
     return True
 
 
-class _Found(Exception):
-    """Raised where the first factorization is emitted, when only one is wanted."""
-
-
 def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
     """The factorizations of gamma over the planned atoms, unsorted; only one with ``first``.
 
-    Under :func:`~sgfact.errors.step_limit` the search counts one step per
-    node and one per factorization the tail emits.
+    The search keeps its own stack of open positions, so its depth is not
+    limited by the recursion limit.  Under :func:`~sgfact.errors.step_limit`
+    it counts one step per node and one per factorization the tail emits.
     """
     if any(c < 0 for c in gamma):
         return []
@@ -262,11 +260,6 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
         g = gcd(wa, wb)
         stride = wb // g
         inverse = pow(wa // g, -1, stride)
-
-    def emit() -> None:
-        out.append(tuple(coeffs))
-        if first:
-            raise _Found
 
     def tail(rem: Vector, weight: int) -> None:
         # the c with c * a + d * b == rem, d >= 0, form one progression
@@ -289,53 +282,59 @@ def _search(plan: tuple, gamma: Vector, *, first: bool = False) -> list[Vector]:
             spend()
             coeffs[slot_a] = c
             coeffs[slot_b] = (weight - c * wa) // wb
-            emit()
+            out.append(tuple(coeffs))
+            if first:
+                break
         coeffs[slot_a] = coeffs[slot_b] = 0
 
-    def rec(j: int, rem: Vector) -> None:
+    # one frame per open position: [j, rem, atom, slot, top, low, lines, c, len(out) on entry]
+    stack: list[list] = []
+    j, rem = 0, gamma
+    while True:
         spend()
+        frame = None
         weight = sum(rem)
         if not weight:
-            emit()  # rem is zero: the remaining multiplicities are all zero
-            return
+            out.append(tuple(coeffs))  # rem is zero: the remaining multiplicities are all zero
         # the multiplicities left add up to L with L * lightest <= weight <= L * weights[j]
-        if -(-weight // weights[j]) > weight // lightest:
-            return
-        while weights[j] > weight:  # atoms heavier than rem have multiplicity zero
-            j += 1
-        atom, slot = arranged[j], order[j]
-        if j == k - 1:  # rem == c * atom forces c = weight // lightest
-            c = weight // lightest
-            if rem == tuple([c * a for a in atom]):
-                coeffs[slot] = c
-                emit()
-                coeffs[slot] = 0
-            return
-        if j == k - 2:
-            tail(rem, weight)
-            return
-        if not _suffix_feasible(rem, suffix[j]):
-            return
-        top = min([r // a for r, a in zip(rem, atom) if a])  # atoms are nonzero
-        low = tuple([r - top * a for r, a in zip(rem, atom)]) if top else rem
-        lines = dead[j]
-        found = len(out)
-        # rem - c * atom == low + (top - c) * atom: skip the dead start of the line
-        # (c == 0 leaves rem itself, top == 0 makes rem the lowest point)
-        for c in range(top - lines.get(low, -1) - 1, -1, -1):
-            coeffs[slot] = c
-            rec(j + 1, tuple([r - c * a for r, a in zip(rem, atom)]) if c else rem)
+        elif -(-weight // weights[j]) <= weight // lightest:
+            while weights[j] > weight:  # atoms heavier than rem have multiplicity zero
+                j += 1
+            atom, slot = arranged[j], order[j]
+            if j == k - 1:  # rem == c * atom forces c = weight // lightest
+                c = weight // lightest
+                if rem == tuple([c * a for a in atom]):
+                    coeffs[slot] = c
+                    out.append(tuple(coeffs))
+                    coeffs[slot] = 0
+            elif j == k - 2:
+                tail(rem, weight)
+            elif _suffix_feasible(rem, suffix[j]):
+                top = min([r // a for r, a in zip(rem, atom) if a])  # atoms are nonzero
+                low = tuple([r - top * a for r, a in zip(rem, atom)]) if top else rem
+                lines = dead[j]
+                # rem - c * atom == low + (top - c) * atom: skip the dead start of the line
+                # (c == 0 leaves rem itself, top == 0 makes rem the lowest point)
+                c = top - lines.get(low, -1) - 1
+                if c >= 0:
+                    frame = [j, rem, atom, slot, top, low, lines, c, len(out)]
+                    stack.append(frame)
+        if first and out:
+            return out
+        while frame is None:  # back up to the innermost open position with a smaller c left
+            if not stack:
+                return out
+            j, rem, atom, slot, top, low, lines, c, found = stack[-1]
             if len(out) == found:
                 lines[low] = top - c
-        coeffs[slot] = 0
-
-    try:
-        rec(0, gamma)
-    except _Found:
-        pass
-    finally:
-        rec = None  # break rec's cycle through its own cell: free the memo now, not at a collection
-    return out
+            if c:
+                frame = stack[-1]
+                frame[7] = c = c - 1
+            else:
+                stack.pop()
+                coeffs[slot] = 0
+        coeffs[slot] = c
+        j, rem = j + 1, tuple([r - c * a for r, a in zip(rem, atom)]) if c else rem
 
 
 def contains(S: AffineSemigroup, gamma: int | Sequence[int]) -> bool:

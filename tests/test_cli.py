@@ -134,6 +134,12 @@ class TestSuccess:
         assert run(argv) == (0, "6\n")
         assert run(argv + ["--format", "json"]) == (0, '{"tame":6}\n')
 
+    def test_more_atoms_than_the_recursion_limit(self):
+        # the 1,001 atoms 1001, ..., 2001: construction searches past Python's
+        # default recursion limit, and 2002 is 1001 + 1001 only
+        argv = ["length-set", "--gens", " ".join(map(str, range(1001, 2102))), "--element", "2002"]
+        assert run(argv) == (0, "2\n")
+
     def test_catenary_numerical(self):
         argv = ["catenary", "--gens", "11 36 39", "--element", "450"]
         assert run(argv) == (0, "16\n")

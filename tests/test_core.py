@@ -125,6 +125,15 @@ class TestConstruction:
             assert contains(s, 40760) and not contains(s, 40761)
         assert s.generators == interval + (((extra,),) if is_atom else ())
 
+    def test_more_atoms_than_the_recursion_limit(self):
+        # 1001 + n is an atom for n <= 1000 and 2002, ..., 2101 are sums of
+        # two: both search modes go 1,001 positions deep, past Python's
+        # default recursion limit of 1,000
+        with cpu_limit(10):
+            s = affine_semigroup(range(1001, 2102))
+            assert length_set(s, 2002) == (2,)
+        assert s.generators == tuple((n,) for n in range(1001, 2002))
+
     def test_clustered_atoms_with_dead_residues(self):
         # residues that pass every weight test yet are no members: a search
         # that forgets them takes minutes here
@@ -301,9 +310,8 @@ class TestFactorizations:
         assert plan == _dfs_plan(s.generators)
 
     def test_search_leaves_no_reference_cycle(self):
-        # the nested search calls itself through its closure cell, a reference
-        # cycle; broken on return, the dead-line memo and the closures are freed
-        # at once, and the cyclic collector finds nothing (946 objects otherwise)
+        # a search frees its dead-line memo, stack and closures when it returns:
+        # it leaves nothing for the cyclic collector to find
         gc.collect()
         gc.disable()
         try:

@@ -157,3 +157,19 @@ def test_every_private_name_is_used():
                 ):
                     found.append(f"{name}:{node.lineno}:{private}")
     assert not found, found
+
+
+def test_no_recursion():
+    # no function or nested function calls itself by name, so no search depth
+    # depends on the interpreter's stack: deep searches keep their own stack
+    found = [
+        f"{name}:{node.lineno}:{node.name}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+    assert not found, found
