@@ -27,9 +27,13 @@ vertex's support bitmask, and the tree edges as (weight, i, j), i < j
 indices into the vertex list.  Index order is code order, so sorting index
 edges sorts them as the tuple edges would sort.  Child i keeps its codes
 below 1 << W*(k-i), a prefix, which shifted lie below those of every child of
-a smaller atom index.  A shift by e_i adds one to each length and sets bit i
-of each mask, so :func:`_disjoint_pairs` decodes nothing, and Kruskal's
-union-find is a plain list over the indices.
+a smaller atom index.  The lowest child, l (most often 0), has none below
+it, so no vertex uses an atom below l: child l keeps its whole tree and comes
+last, and its index edges move by one offset.  A child i > l keeps no edge
+whose ends both use atom l, so it reads only the edges whose lower end is a
+code below 1 << W*(k-1-l), a prefix.  A shift by e_i adds one to each length
+and sets bit i of each mask, so :func:`_disjoint_pairs` decodes nothing, and
+Kruskal's union-find is a plain list over the indices.
 Elements settle bottom-up through ``core._settle``, with :func:`_build_tree`
 as the rule.  The memo, a plain dict, maps an element to its packed tree, or
 to ``None`` for a non-member, a nonzero element with no member one atom
@@ -142,30 +146,36 @@ def _build_tree(k: int, element: Vector, children: list[tuple[int, Packed]]) -> 
 
     ``children`` holds (atom index, packed tree of the element minus that
     atom) for every member one atom below, in ascending atom order; walked
-    downward, each child appends a prefix of its vertices in code order.  With
-    no children, the element is a non-member (None) unless it is zero, whose
-    fiber is the zero vector, code 0.
+    downward, each child appends a prefix of its vertices in code order.  The
+    lowest child keeps all, its edges moved by one offset; a child above reads
+    only the edges whose lower end avoids the lowest child's atom, as each it
+    keeps must.  No children: a non-member (None), unless the element is zero.
     """
     if not children:
         return None if any(element) else ([0], [0], [0], [])
     vertices: list[int] = []
     lengths: list[int] = []
     masks: list[int] = []
-    coded: list[tuple[int, int, int]] = []  # kept child edges as (weight, code, code)
+    coded: list[tuple[int, int, int]] = []  # kept edges above child low as (weight, code, code)
+    low, (low_codes, _, _, low_edges) = children[0]  # no vertex uses an atom below low
     for atom_index, (codes, child_lengths, child_masks, child_edges) in reversed(children):
         shift, bit = 1 << (_W * (k - 1 - atom_index)), 1 << atom_index
         fresh = bisect_left(codes, shift << _W)  # the codes that use no atom below atom_index
         vertices += [v + shift for v in codes[:fresh]]
         lengths += [n + 1 for n in child_lengths[:fresh]]
         masks += [m | bit for m in child_masks[:fresh]]
-        coded += [
-            (w, codes[a] + shift, codes[b] + shift)
-            for w, a, b in child_edges
-            if not child_masks[a] & child_masks[b] & (bit - 1)
-        ]
-    index = {v: i for i, v in enumerate(vertices)}
+        if atom_index > low:  # a kept edge has an end free of atom low, so its lower end a is one
+            free = bisect_left(codes, 1 << (_W * (k - 1 - low)))  # the codes that use no atom low
+            coded += [
+                (w, codes[a] + shift, codes[b] + shift)
+                for w, a, b in child_edges
+                if a < free and not child_masks[a] & child_masks[b] & (bit - 1)
+            ]
+    ids = list(range(len(vertices)))  # shared index ints: the memo holds no copy per edge end
     # a shift keeps code order, so each child's run of index edges stays sorted
-    edges = [(w, index[a], index[b]) for w, a, b in coded]
+    edges = [(w, ids[bisect_left(vertices, a)], ids[bisect_left(vertices, b)]) for w, a, b in coded]
+    off = len(vertices) - len(low_codes)  # the lowest child keeps all and comes last
+    edges += [(w, ids[a + off], ids[b + off]) for w, a, b in low_edges]
     edges += _disjoint_pairs(lengths, masks, k)
     edges.sort()  # Timsort merges the presorted runs
     return vertices, lengths, masks, _kruskal(len(vertices), edges)
